@@ -11,7 +11,11 @@ size, which is what makes out-of-core vector lengths (and future sharding
 across workers) possible; output buffers are still materialized in full,
 as they are the operation's result.
 
-Bit-exactness: for integer and boolean vectors every result is
+The five carry-bearing primitives (the scans, their segmented forms and
+``reduce``) are the carry table's sequential schedule
+(:func:`repro.backends.carry.fold`): ``local`` scans each chunk into its
+slice of the output, ``apply`` folds in the carry so far, ``combine``
+extends it.  For integer and boolean vectors every result is therefore
 bit-identical to :class:`~repro.backends.NumPyBackend` (integer addition
 is associative modulo 2^64, max/min are exactly associative).  Float
 ``+``-scans may round differently from the whole-vector ``np.cumsum``,
@@ -29,8 +33,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .base import Backend
-from .numpy_backend import (NumPyBackend, _exclusive_cumsum,
-                            _seg_running_extreme)
+from .carry import (MaxScan, PlusScan, Reduce, SegExtreme, SegPlus, blocks,
+                    carry_op, fold)
+from .numpy_backend import NumPyBackend
 
 __all__ = ["BlockedBackend"]
 
@@ -78,75 +83,39 @@ class BlockedBackend(Backend):
         return min(out_bytes, self.chunk * 8)
 
     def _spans(self, n: int) -> Iterator[tuple[int, int]]:
-        for start in range(0, n, self.chunk):
-            yield start, min(start + self.chunk, n)
+        return blocks(n, self.chunk)
+
+    def _scan(self, op, values: np.ndarray, flags=None) -> np.ndarray:
+        out = np.empty_like(values)
+        fold(op, self._spans(len(values)), lambda s, e: values[s:e], flags,
+             out)
+        return out
 
     # ------------------------ fused pipelines -------------------------- #
-
-    def _eval_chunk(self, plan, s: int, e: int) -> np.ndarray:
-        """Evaluate the plan's elementwise chain on rows ``[s, e)`` alone.
-
-        Every intermediate is ``(e - s)``-sized, so a fused chain's
-        working storage is chunk-bounded no matter the vector length —
-        the same guarantee the per-primitive chunk loops give, but held
-        across the *whole* chain at once.
-        """
-        env: list = []
-        for step in plan.steps:
-            args = []
-            for tag, payload in step.args:
-                if tag == "in":       # full-length leaf: take this chunk
-                    args.append(plan.inputs[payload][s:e])
-                elif tag == "step":   # already chunk-sized
-                    args.append(env[payload])
-                else:                 # scalar immediate
-                    args.append(payload)
-            env.append(step.as_callable()(*args))
-        return env[-1]
 
     def fused_pipeline(self, plan) -> np.ndarray:
         """Fold the elementwise chain into the per-chunk carry loop.
 
         Each chunk is produced by evaluating the whole chain on that
-        chunk's slice of the inputs, then consumed immediately — by the
-        output buffer for a plain chain, or by the terminal scan's
-        carry-propagating sweep, so a fused ``plus_scan(a*b + c)`` makes
-        **one pass** over each chunk with only chunk-sized temporaries.
-        The carry arithmetic is byte-for-byte the eager
-        :meth:`plus_scan` / :meth:`max_scan` loop, so fused results are
-        bit-identical to unfused blocked execution (including float
-        association).
+        chunk's rows alone (:meth:`FusedPlan.rows`), then consumed at once
+        — by the output buffer for a plain chain, or by the terminal
+        scan's carry fold, so a fused ``plus_scan(a*b + c)`` makes **one
+        pass** over each chunk with only chunk-sized temporaries.  The
+        fold is the eager scans' own, so fused results are bit-identical
+        to unfused blocked execution (including float association).
         """
         n = plan.n
         dtype = plan.root_dtype
         out = np.empty(n, dtype=dtype)
-        per_chunk = min(n, self.chunk)
         # chain intermediates + the evaluated chunk, all chunk-sized
         self._fused_temp = (len(plan.steps)
-                            * per_chunk * max(1, dtype.itemsize))
+                            * min(n, self.chunk) * max(1, dtype.itemsize))
         if plan.terminal is None:
             for s, e in self._spans(n):
-                out[s:e] = self._eval_chunk(plan, s, e)
-            return out
-        if plan.terminal == "plus_scan":
-            carry = dtype.type(0)
-            with np.errstate(over="ignore"):  # modular carries wrap
-                for s, e in self._spans(n):
-                    seg = self._eval_chunk(plan, s, e)
-                    out[s] = carry
-                    np.cumsum(seg[:-1], out=out[s + 1:e])
-                    out[s + 1:e] += carry
-                    carry = carry + seg.sum(dtype=dtype)
-            return out
-        # max_scan terminal
-        (identity,) = plan.terminal_args
-        carry = np.asarray(identity, dtype=dtype)[()]
-        for s, e in self._spans(n):
-            seg = self._eval_chunk(plan, s, e)
-            out[s] = carry
-            np.maximum.accumulate(seg[:-1], out=out[s + 1:e])
-            np.maximum(out[s + 1:e], carry, out=out[s + 1:e])
-            carry = np.maximum(carry, seg.max()) if len(seg) else carry
+                out[s:e] = plan.rows(s, e)
+        else:
+            fold(carry_op(plan.terminal, dtype, *plan.terminal_args),
+                 self._spans(n), plan.rows, out=out)
         return out
 
     # -------------------------- elementwise --------------------------- #
@@ -179,29 +148,10 @@ class BlockedBackend(Backend):
     # ----------------------------- scans ------------------------------ #
 
     def plus_scan(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty_like(values)
-        carry = values.dtype.type(0)
-        with np.errstate(over="ignore"):  # modular carries wrap by design
-            for s, e in self._spans(len(values)):
-                seg = values[s:e]
-                out[s] = carry
-                np.cumsum(seg[:-1], out=out[s + 1:e])
-                out[s + 1:e] += carry
-                carry = carry + seg.sum(dtype=values.dtype)
-        return out
+        return self._scan(PlusScan(values.dtype), values)
 
     def max_scan(self, values: np.ndarray, identity) -> np.ndarray:
-        out = np.empty_like(values)
-        carry = np.asarray(identity, dtype=values.dtype)[()]
-        for s, e in self._spans(len(values)):
-            seg = values[s:e]
-            out[s] = carry
-            np.maximum.accumulate(seg[:-1], out=out[s + 1:e])
-            np.maximum(out[s + 1:e], carry, out=out[s + 1:e])
-            # np.maximum, not Python max: the carry must propagate NaN
-            # exactly as the within-chunk np.maximum.accumulate does
-            carry = np.maximum(carry, seg.max()) if len(seg) else carry
-        return out
+        return self._scan(MaxScan(values.dtype, identity), values)
 
     # ------------------------- communication -------------------------- #
 
@@ -276,9 +226,10 @@ class BlockedBackend(Backend):
         return np.full(length, value, dtype=dtype)
 
     def reduce(self, values: np.ndarray, op: str):
-        partials = [self._np.reduce(values[s:e], op)
-                    for s, e in self._spans(len(values))]
-        return self._np.reduce(np.array(partials), op)
+        total = fold(Reduce(values.dtype, reduce_op=op),
+                     self._spans(len(values)), lambda s, e: values[s:e])
+        # max/min of nothing has no identity: raise numpy's own error
+        return self._np.reduce(values, op) if total is None else total
 
     # ---------------------------- segmented ---------------------------- #
 
@@ -293,73 +244,12 @@ class BlockedBackend(Backend):
 
     def seg_plus_scan(self, values: np.ndarray,
                       seg_flags: np.ndarray) -> np.ndarray:
-        if len(values) == 0:
-            return values.copy()
-        out = np.empty_like(values)
-        carry = values.dtype.type(0)  # sum since the open segment's head
-        with np.errstate(over="ignore"):  # modular carries wrap by design
-            return self._seg_plus_chunks(values, seg_flags, out, carry)
-
-    def _seg_plus_chunks(self, values, seg_flags, out, carry):
-        for s, e in self._spans(len(values)):
-            seg, sfc = values[s:e], seg_flags[s:e]
-            ex = _exclusive_cumsum(seg)
-            local = np.cumsum(sfc)  # 0 on the run continuing the open segment
-            heads = np.flatnonzero(sfc)
-            # offsets[i]: what local segment i subtracts from the chunk-local
-            # exclusive sums; the continuing run (i = 0) *adds* the carry
-            # (modular arithmetic makes the negation exact for any int dtype)
-            offsets = np.empty(len(heads) + 1, dtype=values.dtype)
-            offsets[0] = values.dtype.type(0) - carry
-            offsets[1:] = ex[heads]
-            out[s:e] = ex - offsets[local]
-            if len(heads):
-                carry = seg[heads[-1]:].sum(dtype=values.dtype)
-            else:
-                carry = carry + seg.sum(dtype=values.dtype)
-        return out
+        return self._scan(SegPlus(values.dtype), values, seg_flags)
 
     def seg_extreme_scan(self, values: np.ndarray, seg_flags: np.ndarray,
                          identity, *, is_max: bool) -> np.ndarray:
-        if len(values) == 0:
-            return values.copy()
-        # the in-chunk rank encoding orders NaN as a largest value, so the
-        # cross-chunk min carry must too: np.fmin (NaN loses to any real
-        # value), not the NaN-propagating np.minimum — the max side's
-        # np.maximum already coincides with NaN-as-largest
-        combine = np.maximum if is_max else np.fmin
-        reduce_run = ((lambda a: a.max()) if is_max
-                      else (lambda a: np.fmin.reduce(a)))
-        out = np.empty_like(values)
-        carry = None  # extreme since the open segment's head (None = at start)
-        for s, e in self._spans(len(values)):
-            seg, sfc = values[s:e], seg_flags[s:e]
-            # _seg_running_extreme needs a head at position 0; opening the
-            # chunk's leading run as its own segment shifts every relative
-            # segment id by one without moving any boundary
-            sfc_local = sfc
-            if not sfc[0]:
-                sfc_local = sfc.copy()
-                sfc_local[0] = True
-            local = _seg_running_extreme(seg, sfc_local, identity,
-                                         is_max=is_max)
-            if carry is not None and not sfc[0]:
-                # the leading run continues a segment begun in an earlier
-                # chunk: fold in the carried extreme; its first element has
-                # no in-chunk prefix and takes the carry alone (the
-                # identity fill must not clamp real segment values)
-                run = int(np.argmax(sfc)) if sfc.any() else len(sfc)
-                combine(local[:run], carry, out=local[:run])
-                local[0] = carry
-            out[s:e] = local
-            heads = np.flatnonzero(sfc)
-            if len(heads):
-                carry = reduce_run(seg[heads[-1]:])
-            elif carry is None:
-                carry = reduce_run(seg)
-            else:
-                carry = combine(carry, reduce_run(seg))
-        return out
+        return self._scan(SegExtreme(values.dtype, identity, is_max=is_max),
+                          values, seg_flags)
 
     def seg_copy(self, values: np.ndarray,
                  seg_flags: np.ndarray) -> np.ndarray:

@@ -10,20 +10,20 @@ the classic block decomposition — the same schedule GPU scan kernels
   segmented variants, the paper's Section 4 *flag-carrying operator* pair
   ``(value since the block's last segment head, has_head)``;
 * a tiny **host-side scan of the partials** turns them into per-block
-  carry-ins (this is the top of the tree: ``n / block`` elements);
+  carry-ins (this is the top of the tree: ``n / block`` elements), run
+  through the carry table's ``combine`` (:mod:`repro.backends.carry`);
 * **downsweep** — each block independently materializes its slice of the
   exclusive scan from its carry-in, again in parallel.
 
-Both sweeps are expressed once, as plain-Python kernels over preallocated
+Both sweeps are written once, as plain-Python kernels over preallocated
 buffers (``_*_py`` below), and compiled with Numba's
 ``@njit(parallel=True, cache=True)`` when Numba is importable.  Without
-Numba the backend **falls back gracefully** instead of dying: small
-vectors run the same kernels as ordinary Python (keeping the exact kernel
-arithmetic on the fuzzer's differential surface), and large vectors run a
-vectorized per-block schedule that mirrors :class:`BlockedBackend`'s
-proven chunk math — same two phases, NumPy expressions instead of
-compiled loops.  ``REPRO_NATIVE_PURE=1`` forces the fallback even when
-Numba is present (the CI leg that proves it).
+Numba the backend runs the carry table's sequential schedule
+(:func:`repro.backends.carry.fold`) over the same blocks — the blocked
+backend's code path, NumPy expressions per block — instead of refusing to
+load.  The kernel arithmetic stays testable there: a backend whose
+``compiled`` is set to ``True`` runs the ``_K_*`` kernels, which are then
+the plain-Python sources.
 
 Conformance: integer and boolean results are bit-identical to every
 other backend (modular addition and max/min are associative); float
@@ -43,16 +43,16 @@ Selection: ``Machine(backend="native")``, ``native:<threads>``,
 ``native:<threads>:<block>`` (``threads=0`` means Numba's default), or
 ``REPRO_BACKEND=native``.  Observability: ``backend.native.ops`` counts
 primitives like every backend; ``native.kernel_launches`` counts compiled
-two-phase executions, ``native.fallback_ops`` the pure-path ones, and the
-``native.threads`` gauge reports the configured thread count.
+two-phase executions, ``native.fallback_ops`` the sequential-fold ones,
+and the ``native.threads`` gauge reports the configured thread count.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .numpy_backend import NumPyBackend, _exclusive_cumsum, _seg_running_extreme
+from .carry import (CarryOp, MaxScan, PlusScan, SegExtreme, SegPlus,
+                    blocks, exclusive, fold)
+from .numpy_backend import NumPyBackend
 
 __all__ = ["NativeBackend", "HAVE_NUMBA"]
 
@@ -78,12 +78,6 @@ except ImportError:
 #: default elements per block (a few hundred KB of int64 per temporary,
 #: matching the blocked backend's chunk)
 DEFAULT_BLOCK = 65536
-
-#: largest vector the pure fallback runs through the plain-Python kernels
-#: (beyond this it switches to the vectorized per-block schedule)
-_PY_KERNEL_MAX = 2048
-
-_ENV_PURE = "REPRO_NATIVE_PURE"
 
 
 def _nblocks(n: int, block: int) -> int:
@@ -261,18 +255,15 @@ class NativeBackend(NumPyBackend):
             kwargs["block"] = numbers[1]
         return cls(**kwargs)
 
-    def __init__(self, threads: int = 0, block: int = DEFAULT_BLOCK,
-                 force_pure: bool | None = None) -> None:
+    def __init__(self, threads: int = 0, block: int = DEFAULT_BLOCK) -> None:
         if threads < 0:
             raise ValueError(f"threads must be >= 0 (0 = auto), got {threads}")
         if block < 1:
             raise ValueError(f"block size must be >= 1, got {block}")
         self.threads = int(threads)
         self.block = int(block)
-        if force_pure is None:
-            force_pure = os.environ.get(_ENV_PURE, "") not in ("", "0")
-        #: whether the compiled kernels are in play (vs the pure fallback)
-        self.compiled = HAVE_NUMBA and not force_pure
+        #: whether the two-phase kernels run (vs the sequential fold)
+        self.compiled = HAVE_NUMBA
         if self.compiled and self.threads:
             _numba.set_num_threads(
                 min(self.threads, _numba.config.NUMBA_NUM_THREADS))
@@ -285,7 +276,7 @@ class NativeBackend(NumPyBackend):
             (_numba.get_num_threads() if self.compiled else 1))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "numba" if self.compiled else "pure"
+        mode = "numba" if self.compiled else "fold"
         return (f"NativeBackend(threads={self.threads}, block={self.block}, "
                 f"mode={mode})")
 
@@ -294,7 +285,7 @@ class NativeBackend(NumPyBackend):
     # ------------------------------------------------------------------ #
 
     def _engaged(self, values: np.ndarray) -> bool:
-        """Whether the two-phase schedule runs (vs inheriting NumPy).
+        """Whether the block schedule runs (vs inheriting NumPy).
 
         Booleans delegate: NumPy's accumulate semantics on bool lanes are
         the contract, and the machine widens bools before ``plus_scan``
@@ -302,16 +293,10 @@ class NativeBackend(NumPyBackend):
         """
         return len(values) >= 2 and values.dtype.kind != "b"
 
-    def _use_py_kernels(self, n: int) -> bool:
-        return self.compiled or n <= _PY_KERNEL_MAX
-
-    def _count(self, n: int) -> None:
-        (self._launches if self.compiled else self._fallbacks).inc()
-
     def temp_bytes(self, op: str, out_bytes: int) -> int:
-        """Two-phase working storage: the per-block partials (one word per
-        block) plus, on the pure path, chunk-bounded NumPy temporaries —
-        the rank-encoding segmented extreme holds about three of them."""
+        """Block-schedule working storage: the per-block partials (one word
+        per block) plus block-bounded temporaries — on the fold path the
+        rank-encoding segmented extreme holds about three of them."""
         if op == "fused_pipeline":
             return int(getattr(self, "_fused_temp", out_bytes))
         per_block = min(out_bytes, self.block * 8)
@@ -320,241 +305,97 @@ class NativeBackend(NumPyBackend):
             per_block *= 3
         return per_block + partials
 
+    def scan_into(self, op: CarryOp, values: np.ndarray, flags, out):
+        """Scan ``values`` into ``out`` with carry op ``op``; returns the
+        total carry.  Two-phase kernels when compiled, else the table's
+        sequential fold over this backend's blocks."""
+        if not self.compiled:
+            self._fallbacks.inc()
+            return fold(op, blocks(len(values), self.block),
+                        lambda s, e: values[s:e], flags, out)
+        self._launches.inc()
+        block = self.block
+        nb = _nblocks(len(values), block)
+        dt = values.dtype
+        parts = np.empty(nb, dtype=dt)
+        has = np.zeros(nb, dtype=bool)
+        zero = dt.type(0)
+        with np.errstate(over="ignore"):  # modular carries wrap by design
+            if op.name == "plus_scan":
+                _K_PLUS_UP(values, parts, block, zero)
+            elif op.name == "max_scan":
+                _K_MAX_UP(values, parts, block)
+            elif op.name == "seg_plus":
+                _K_SEG_PLUS_UP(values, flags, parts, has, block, zero)
+            else:
+                _K_SEG_EXT_UP(values, flags, parts, has, block, op.is_max)
+            # the top of the tree: one carry per block, scanned on the host
+            if flags is None:
+                ins, total = exclusive(op, parts)
+                carries = np.array(ins, dtype=dt)
+            else:
+                ins, total = exclusive(op, zip(parts, has))
+                carries = np.array([zero if c is None else c
+                                    for c, _ in ins], dtype=dt)
+            if op.name == "plus_scan":
+                _K_PLUS_DOWN(values, out, carries, block)
+            elif op.name == "max_scan":
+                _K_MAX_DOWN(values, out, carries, block)
+            elif op.name == "seg_plus":
+                _K_SEG_PLUS_DOWN(values, flags, out, carries, block, zero)
+            else:
+                have = np.array([c is not None for c, _ in ins], dtype=bool)
+                _K_SEG_EXT_DOWN(values, flags, out, carries, have, block,
+                                op.fill, op.is_max)
+        return total
+
+    def _scan(self, op: CarryOp, values: np.ndarray, flags=None):
+        out = np.empty_like(values)
+        self.scan_into(op, values, flags, out)
+        return out
+
     # ------------------------------------------------------------------ #
-    # Unsegmented scans
+    # Scans (the segmented ones carry the Section 4 flag-carrying
+    # operator, fused into a single per-block pass on each sweep)
     # ------------------------------------------------------------------ #
 
     def plus_scan(self, values: np.ndarray) -> np.ndarray:
         if not self._engaged(values):
             return super().plus_scan(values)
-        n, block = len(values), self.block
-        nb = _nblocks(n, block)
-        dt = values.dtype
-        sums = np.empty(nb, dtype=dt)
-        out = np.empty_like(values)
-        zero = dt.type(0)
-        self._count(n)
-        with np.errstate(over="ignore"):  # modular carries wrap by design
-            if self._use_py_kernels(n):
-                up, down = ((_K_PLUS_UP, _K_PLUS_DOWN) if self.compiled
-                            else (_plus_upsweep_py, _plus_downsweep_py))
-                up(values, sums, block, zero)
-                offsets = self._plus_carries(sums, zero)
-                down(values, out, offsets, block)
-            else:
-                for b in range(nb):
-                    s, e = b * block, min(b * block + block, n)
-                    sums[b] = values[s:e].sum(dtype=dt)
-                offsets = self._plus_carries(sums, zero)
-                for b in range(nb):
-                    s, e = b * block, min(b * block + block, n)
-                    out[s] = offsets[b]
-                    np.cumsum(values[s:e - 1], out=out[s + 1:e])
-                    out[s + 1:e] += offsets[b]
-        return out
+        return self._scan(PlusScan(values.dtype), values)
 
     def max_scan(self, values: np.ndarray, identity) -> np.ndarray:
         if not self._engaged(values):
             return super().max_scan(values, identity)
-        n, block = len(values), self.block
-        nb = _nblocks(n, block)
-        dt = values.dtype
-        exts = np.empty(nb, dtype=dt)
-        out = np.empty_like(values)
-        ident = np.asarray(identity, dtype=dt)[()]
-        self._count(n)
-        if self._use_py_kernels(n):
-            up, down = ((_K_MAX_UP, _K_MAX_DOWN) if self.compiled
-                        else (_max_upsweep_py, _max_downsweep_py))
-            up(values, exts, block)
-            offsets = self._max_carries(exts, ident)
-            down(values, out, offsets, block)
-        else:
-            for b in range(nb):
-                s, e = b * block, min(b * block + block, n)
-                exts[b] = values[s:e].max()
-            offsets = self._max_carries(exts, ident)
-            for b in range(nb):
-                s, e = b * block, min(b * block + block, n)
-                out[s] = offsets[b]
-                np.maximum.accumulate(values[s:e - 1], out=out[s + 1:e])
-                np.maximum(out[s + 1:e], offsets[b], out=out[s + 1:e])
-        return out
-
-    def _plus_carries(self, sums: np.ndarray, zero) -> np.ndarray:
-        """Exclusive +-scan of the block partials (the top of the tree:
-        ``n / block`` elements, sequential on the host)."""
-        offsets = np.empty_like(sums)
-        offsets[0] = zero
-        if len(sums) > 1:
-            np.cumsum(sums[:-1], out=offsets[1:])
-        return offsets
-
-    def _max_carries(self, exts: np.ndarray, ident) -> np.ndarray:
-        offsets = np.empty_like(exts)
-        offsets[0] = ident
-        if len(exts) > 1:
-            np.maximum.accumulate(exts[:-1], out=offsets[1:])
-            np.maximum(offsets[1:], ident, out=offsets[1:])
-        return offsets
-
-    # ------------------------------------------------------------------ #
-    # Segmented scans (the Section 4 flag-carrying operator, fused into
-    # a single per-block pass on each sweep)
-    # ------------------------------------------------------------------ #
+        return self._scan(MaxScan(values.dtype, identity), values)
 
     def seg_plus_scan(self, values: np.ndarray,
                       seg_flags: np.ndarray) -> np.ndarray:
         if not self._engaged(values):
             return super().seg_plus_scan(values, seg_flags)
-        n, block = len(values), self.block
-        nb = _nblocks(n, block)
-        dt = values.dtype
-        sums = np.empty(nb, dtype=dt)
-        has = np.empty(nb, dtype=bool)
-        out = np.empty_like(values)
-        zero = dt.type(0)
-        self._count(n)
-        with np.errstate(over="ignore"):
-            if self._use_py_kernels(n):
-                up, down = ((_K_SEG_PLUS_UP, _K_SEG_PLUS_DOWN)
-                            if self.compiled
-                            else (_seg_plus_upsweep_py, _seg_plus_downsweep_py))
-                up(values, seg_flags, sums, has, block, zero)
-                carries = self._seg_plus_carries(sums, has, zero)
-                down(values, seg_flags, out, carries, block, zero)
-            else:
-                for b in range(nb):
-                    s, e = b * block, min(b * block + block, n)
-                    seg, sfc = values[s:e], seg_flags[s:e]
-                    heads = np.flatnonzero(sfc)
-                    if len(heads):
-                        sums[b] = seg[heads[-1]:].sum(dtype=dt)
-                        has[b] = True
-                    else:
-                        sums[b] = seg.sum(dtype=dt)
-                        has[b] = False
-                carries = self._seg_plus_carries(sums, has, zero)
-                for b in range(nb):
-                    s, e = b * block, min(b * block + block, n)
-                    seg, sfc = values[s:e], seg_flags[s:e]
-                    # the blocked backend's subtract-offset chunk math,
-                    # with the carry-in folded into the continuing run
-                    ex = _exclusive_cumsum(seg)
-                    local = np.cumsum(sfc)
-                    heads = np.flatnonzero(sfc)
-                    offs = np.empty(len(heads) + 1, dtype=dt)
-                    offs[0] = zero - carries[b]
-                    offs[1:] = ex[heads]
-                    out[s:e] = ex - offs[local]
-        return out
-
-    def _seg_plus_carries(self, sums, has, zero) -> np.ndarray:
-        """Exclusive scan of the ``(sum since last head, has_head)`` pairs:
-        a head anywhere in a block resets the running open-segment sum."""
-        carries = np.empty_like(sums)
-        carry = zero
-        for b in range(len(sums)):
-            carries[b] = carry
-            carry = sums[b] if has[b] else np.add(carry, sums[b])
-        return carries
+        return self._scan(SegPlus(values.dtype), values, seg_flags)
 
     def seg_extreme_scan(self, values: np.ndarray, seg_flags: np.ndarray,
                          identity, *, is_max: bool) -> np.ndarray:
         if not self._engaged(values):
             return super().seg_extreme_scan(values, seg_flags, identity,
                                             is_max=is_max)
-        n, block = len(values), self.block
-        nb = _nblocks(n, block)
-        dt = values.dtype
-        exts = np.empty(nb, dtype=dt)
-        has = np.empty(nb, dtype=bool)
-        out = np.empty_like(values)
-        ident = np.asarray(identity, dtype=dt)[()]
-        # NaN orders as a largest value (rank-encoding convention): max
-        # propagates it, min passes it over — np.fmin, not np.minimum
-        combine = np.maximum if is_max else np.fmin
-        self._count(n)
-        if self._use_py_kernels(n):
-            up, down = ((_K_SEG_EXT_UP, _K_SEG_EXT_DOWN) if self.compiled
-                        else (_seg_ext_upsweep_py, _seg_ext_downsweep_py))
-            up(values, seg_flags, exts, has, block, is_max)
-            carries, have = self._seg_ext_carries(exts, has, ident, combine)
-            down(values, seg_flags, out, carries, have, block, ident, is_max)
-            return out
-        for b in range(nb):
-            s, e = b * block, min(b * block + block, n)
-            seg, sfc = values[s:e], seg_flags[s:e]
-            heads = np.flatnonzero(sfc)
-            tail = seg[heads[-1]:] if len(heads) else seg
-            exts[b] = tail.max() if is_max else np.fmin.reduce(tail)
-            has[b] = bool(len(heads))
-        carries, have = self._seg_ext_carries(exts, has, ident, combine)
-        for b in range(nb):
-            s, e = b * block, min(b * block + block, n)
-            seg, sfc = values[s:e], seg_flags[s:e]
-            sfc_local = sfc
-            if not sfc[0]:
-                sfc_local = sfc.copy()
-                sfc_local[0] = True
-            local = _seg_running_extreme(seg, sfc_local, ident, is_max=is_max)
-            if have[b] and not sfc[0]:
-                # the leading run continues a segment from an earlier
-                # block: fold in the carried extreme; its first element
-                # has no in-block prefix and takes the carry alone
-                run = int(np.argmax(sfc)) if sfc.any() else len(sfc)
-                combine(local[:run], carries[b], out=local[:run])
-                local[0] = carries[b]
-            out[s:e] = local
-        return out
-
-    def _seg_ext_carries(self, exts, has, ident, combine):
-        """Exclusive scan of the ``(extreme since last head, has_head)``
-        pairs; ``have[b]`` is False only while no element has been seen
-        (block 0, whose leading flag is a head by contract)."""
-        carries = np.empty_like(exts)
-        have = np.empty(len(exts), dtype=bool)
-        cur, cur_have = ident, False
-        for b in range(len(exts)):
-            carries[b] = cur
-            have[b] = cur_have
-            if has[b] or not cur_have:
-                cur = exts[b]
-            else:
-                cur = combine(cur, exts[b])
-            cur_have = True
-        return carries, have
+        return self._scan(SegExtreme(values.dtype, identity, is_max=is_max),
+                          values, seg_flags)
 
     # ------------------------------------------------------------------ #
     # Fused pipelines: the elementwise chain evaluated block by block
-    # into the scan's input buffer, then one two-phase sweep over it
+    # into the scan's input buffer, then one block-schedule scan over it
     # ------------------------------------------------------------------ #
-
-    def _eval_chunk(self, plan, s: int, e: int) -> np.ndarray:
-        """The plan's elementwise chain on rows ``[s, e)`` alone; every
-        intermediate is ``(e - s)``-sized (the blocked backend's chunked
-        chain evaluation, reused as this backend's per-block one)."""
-        env: list = []
-        for step in plan.steps:
-            args = []
-            for tag, payload in step.args:
-                if tag == "in":
-                    args.append(plan.inputs[payload][s:e])
-                elif tag == "step":
-                    args.append(env[payload])
-                else:
-                    args.append(payload)
-            env.append(step.as_callable()(*args))
-        return env[-1]
 
     def fused_pipeline(self, plan) -> np.ndarray:
         """Fold the chain into the per-block schedule.
 
         The chain is evaluated one block at a time into the preallocated
-        scan input (chunk-bounded chain temporaries, exactly like the
-        blocked backend's fused carry loop), and the terminal scan then
-        runs as the ordinary two-phase sweep over that buffer — so fused
-        results are bit-identical to eager native execution, and a fused
+        scan input (block-bounded chain temporaries, via
+        :meth:`FusedPlan.rows`), and the terminal scan then runs as the
+        ordinary block schedule over that buffer — so fused results are
+        bit-identical to eager native execution, and a fused
         ``plus_scan(a*b + c)`` materializes one full-length buffer plus
         one block of chain intermediates.  Plans without a terminal scan
         use NumPy's pooled whole-vector evaluation (nothing to sweep).
@@ -565,9 +406,8 @@ class NativeBackend(NumPyBackend):
         dtype = plan.root_dtype
         root = np.empty(n, dtype=dtype)
         per_block = min(n, self.block)
-        for s in range(0, n, self.block):
-            e = min(s + self.block, n)
-            root[s:e] = self._eval_chunk(plan, s, e)
+        for s, e in blocks(n, self.block):
+            root[s:e] = plan.rows(s, e)
         out = getattr(self, plan.terminal)(root, *plan.terminal_args)
         # the chain's block-sized intermediates + the materialized scan
         # input + the per-block partials

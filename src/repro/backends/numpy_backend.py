@@ -38,14 +38,14 @@ def _exclusive_cumsum(values: np.ndarray) -> np.ndarray:
 
 
 def _seg_running_extreme(v: np.ndarray, sf: np.ndarray, identity, *,
-                         is_max: bool) -> np.ndarray:
+                         is_max: bool, out=None) -> np.ndarray:
     """Exclusive per-segment running max (or min) via the Figure 16 method:
     encode (segment, rank-of-value), take one unsegmented running max,
     decode.  Works for any comparable dtype because ranks, not raw bits,
-    carry the value."""
+    carry the value.  Writes into ``out`` when given."""
     n = len(v)
     if n == 0:
-        return v.copy()
+        return v.copy() if out is None else out
     order = np.argsort(v, kind="stable")
     if not is_max:
         order = order[::-1]  # higher rank now means smaller value
@@ -58,8 +58,11 @@ def _seg_running_extreme(v: np.ndarray, sf: np.ndarray, identity, *,
     np.maximum.accumulate(code[:-1], out=run[1:])
     valid = (run >= 0) & (run // n == s)
     decoded_pos = order[np.clip(run % n, 0, n - 1)]
-    out = np.where(valid, v[decoded_pos], np.asarray(identity, dtype=v.dtype))
-    return out.astype(v.dtype, copy=False)
+    if out is None:
+        out = np.empty_like(v)
+    out[...] = np.asarray(identity, dtype=v.dtype)
+    np.copyto(out, v[decoded_pos], where=valid)
+    return out
 
 
 _REDUCERS = {"sum": np.sum, "max": np.max, "min": np.min,

@@ -105,6 +105,21 @@ class FusedPlan:
             return env[payload]
         return payload  # "const": the scalar itself
 
+    def rows(self, s: int, e: int) -> np.ndarray:
+        """The chain's value on rows ``[s, e)`` alone.
+
+        Leaf inputs are sliced to those rows, so every intermediate is
+        ``(e - s)``-sized: a backend evaluating the chain block by block
+        keeps its working storage block-bounded at any vector length.
+        """
+        env: list = []
+        for step in self.steps:
+            args = [self.inputs[payload][s:e] if tag == "in"
+                    else self.resolve((tag, payload), env)
+                    for tag, payload in step.args]
+            env.append(step.as_callable()(*args))
+        return env[-1]
+
     def describe(self) -> str:  # pragma: no cover - cosmetic
         ops = [s.fn.__name__ if s.kind == "ufunc" else s.kind
                for s in self.steps]

@@ -4,8 +4,10 @@ The paper's long-vector simulation (Figure 10) maps ``n`` logical
 processors onto ``p`` physical ones; this package makes the mapping real
 by sharding vectors across OS worker processes.  The layers, bottom up:
 
-* :mod:`~repro.cluster.shardops` — pure-NumPy shard kernels and carry
-  monoids, shared by workers and the degraded host-side path;
+* :mod:`~repro.cluster.shardops` — reply checksums and the shard's route
+  into the carry table (:mod:`repro.backends.carry`), shared by workers
+  and the degraded host-side path — the table is the same one the
+  blocked and native backends run, here under a third schedule;
 * :mod:`~repro.cluster.exchange` — the Träff-style round-efficient
   exclusive carry exchange (⌈lg p⌉ combining rounds);
 * :mod:`~repro.cluster.worker` — the child-process command loop

@@ -14,9 +14,10 @@ machine would pay.
 The doubling recurrence computes the *inclusive* prefix; the exclusive
 result is read off by shifting through the identity, which is how Träff
 derives Exscan from Scan without an extra communication round.  The
-combine is any associative monoid — ``shardops`` supplies one per
-distributed primitive (wrapping ``+``, NaN-propagating max/min, and the
-segmented ``(value, has_head)`` pairs).
+combine is any associative monoid — the carry table
+(:mod:`repro.backends.carry`) supplies one per distributed primitive
+(wrapping ``+``, NaN-absorbing max, ``np.fmin``-ordered segmented min,
+and the segmented ``(value, has_head)`` pairs).
 """
 from __future__ import annotations
 

@@ -1,8 +1,8 @@
 """Worker-pool supervision: dispatch, health, retries, degradation.
 
 This is the product half of the distributed backend.  The *math* of a
-sharded scan lives in :mod:`repro.cluster.shardops`; everything here is
-about surviving the processes that run it.  A :class:`WorkerPool` owns N
+sharded scan is the carry table's (:mod:`repro.backends.carry`);
+everything here is about surviving the processes that run it.  A :class:`WorkerPool` owns N
 worker processes and, per distributed op:
 
 1. publishes the operands into ``multiprocessing.shared_memory`` segments
@@ -34,6 +34,7 @@ memory unlinked even when the host exits abruptly.
 from __future__ import annotations
 
 import atexit
+import functools
 import multiprocessing as mp
 import random
 import time
@@ -44,6 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 from multiprocessing import resource_tracker
 
+from ..backends.carry import carry_op
 from ..observe.metrics import registry
 from . import shardops
 from .chaos import ChaosPlan, ChaosState
@@ -496,35 +498,6 @@ class WorkerPool:
             start = stop
         return bounds
 
-    @staticmethod
-    def _monoid(op: str, dtype, identity, is_max: bool):
-        """The carry-combine monoid and its identity for the exchange."""
-        zero = np.zeros((), dtype=dtype)[()]
-        if op == "plus_scan":
-            return shardops.plus_carry_combine(dtype), zero
-        if op == "max_scan":
-            return (shardops.max_carry_combine(),
-                    np.asarray(identity, dtype=dtype)[()])
-        if op == "seg_plus":
-            return shardops.seg_plus_carry_combine(dtype), (zero, False)
-        if op == "seg_extreme":
-            return shardops.seg_extreme_carry_combine(is_max), (None, False)
-        raise ValueError(f"unknown distributed op {op!r}")
-
-    def _offset_is_identity(self, op: str, offset, identity,
-                            flags, start: int) -> bool:
-        """Whether shard ``start``'s incoming carry cannot change it (so
-        phase 2 can be skipped entirely for that shard)."""
-        if op in ("seg_plus", "seg_extreme") and bool(flags[start]):
-            return True  # shard opens a fresh segment; no open carry applies
-        if op == "plus_scan":
-            return bool(offset == 0)
-        if op == "max_scan":
-            return bool(offset == identity)  # NaN compares False: dispatch
-        if op == "seg_plus":
-            return bool(offset[0] == 0)
-        return offset[0] is None  # seg_extreme
-
     def _begin_op(self, n: int) -> None:
         self._op_index = self.ledger.ops_distributed
         self.ledger.ops += 1
@@ -560,22 +533,20 @@ class WorkerPool:
             carries_by_shard = self._run_phase(job, phase1)
             carries = [carries_by_shard[i] for i in range(len(shards))]
 
-            combine, ident = self._monoid(op, values.dtype, identity, is_max)
-            offsets, rounds = exclusive_exchange(carries, combine, ident)
+            entry = carry_op(op, values.dtype, identity, is_max=is_max)
+            offsets, rounds = exclusive_exchange(carries, entry.combine,
+                                                 entry.identity)
             self._m_rounds.observe(rounds)
 
             host_flags = job.view("flags") if flags is not None else None
             phase2 = []
             for i, (s, e) in enumerate(shards):
-                if s == e or self._offset_is_identity(
-                        op, offsets[i], identity, host_flags, s):
-                    continue
-                carry_value = (offsets[i][0]
-                               if op in ("seg_plus", "seg_extreme")
-                               else offsets[i])
+                shard_flags = None if flags is None else host_flags[s:e]
+                if s == e or entry.is_noop(offsets[i], shard_flags):
+                    continue  # the incoming carry cannot change this shard
                 phase2.append((i, {**base, "phase": 2, "mode": "apply",
                                    "start": s, "stop": e,
-                                   "carry": carry_value}))
+                                   "carry": offsets[i]}))
             if phase2:
                 self._run_phase(job, phase2)
             return np.array(job.view("out"), copy=True)
@@ -583,8 +554,8 @@ class WorkerPool:
             job.close()
 
     def run_reduce(self, values: np.ndarray, reduce_op: str):
-        """A sharded reduction: per-shard partials, combined host-side the
-        same way the blocked backend re-reduces its chunk partials."""
+        """A sharded reduction: per-shard partials, combined host-side in
+        shard order through the carry table's reduce combine."""
         n = len(values)
         self._begin_op(n)
         live = self.live_workers()
@@ -600,8 +571,10 @@ class WorkerPool:
                          "carry": None})
                     for i, (s, e) in enumerate(shards)]
             partials_by_shard = self._run_phase(job, cmds)
-            partials = [partials_by_shard[i] for i in range(len(shards))]
-            return shardops.reduce_combine(partials, reduce_op)
+            entry = carry_op("reduce", values.dtype, reduce_op=reduce_op)
+            return functools.reduce(entry.combine, (
+                partials_by_shard[i] for i in range(len(shards))),
+                entry.identity)
         finally:
             job.close()
 

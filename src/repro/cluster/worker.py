@@ -5,8 +5,9 @@ duplex pipe.  Commands are small picklable dicts; array payloads never
 cross the pipe — they live in :mod:`multiprocessing.shared_memory`
 segments the command names, which the worker attaches to per op and
 detaches from before replying.  The compute itself is a straight call into
-:mod:`repro.cluster.shardops`, the same kernels the supervisor uses for
-degraded host-side shards.
+the carry table (:mod:`repro.backends.carry`, via
+:func:`repro.cluster.shardops.local`) on the shared-memory slices — the
+same code the supervisor runs for degraded host-side shards.
 
 Protocol (one reply per command, matched by ``seq``):
 
@@ -38,6 +39,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from ..backends.carry import carry_op
 from . import shardops
 
 __all__ = ["worker_main"]
@@ -58,37 +60,15 @@ def _view(shm, dtype, n, start, stop) -> np.ndarray:
 
 
 def _compute(cmd, values, flags, out):
-    """Run one shard phase; returns the carry payload (or ``None``)."""
-    op = cmd["op"]
-    if op == "reduce":
-        return shardops.reduce_shard(values, cmd["reduce_op"])
-
+    """Run one shard phase in place on the shared-memory slices; returns
+    the carry payload (phase 1) or ``None`` (phase 2)."""
+    op = carry_op(cmd["op"], cmd["dtype"], cmd["identity"],
+                  is_max=cmd["is_max"], reduce_op=cmd["reduce_op"])
     if cmd["phase"] == 1 or cmd["mode"] == "recompute":
-        if op == "plus_scan":
-            local, carry = shardops.plus_scan_shard(values)
-        elif op == "max_scan":
-            local, carry = shardops.max_scan_shard(values, cmd["identity"])
-        elif op == "seg_plus":
-            local, carry = shardops.seg_plus_shard(values, flags)
-        elif op == "seg_extreme":
-            local, carry = shardops.seg_extreme_shard(
-                values, flags, cmd["identity"], is_max=cmd["is_max"])
-        else:
-            raise ValueError(f"unknown distributed op {op!r}")
-        out[:] = local
+        carry = shardops.local(op, values, flags, out)
         if cmd["phase"] == 1:
             return carry
-
-    carry_value = cmd["carry"]
-    if op == "plus_scan":
-        shardops.plus_scan_apply(out, carry_value)
-    elif op == "max_scan":
-        shardops.max_scan_apply(out, carry_value)
-    elif op == "seg_plus":
-        shardops.seg_plus_apply(out, flags, carry_value)
-    elif op == "seg_extreme":
-        shardops.seg_extreme_apply(out, flags, carry_value,
-                                   is_max=cmd["is_max"])
+    op.apply(out, flags, cmd["carry"])
     return None
 
 

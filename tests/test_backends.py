@@ -439,6 +439,27 @@ class TestFaultsAcrossBackends:
 
 
 # --------------------------------------------------------------------- #
+# Empty reductions keep numpy's result dtype (regression)
+# --------------------------------------------------------------------- #
+
+class TestEmptyReduce:
+    """Blocked combined its chunk partials through ``np.array(partials)``:
+    with no chunks that is a float64 array, so an empty int64 sum came
+    back as ``np.float64(0.0)`` instead of numpy's ``np.int64(0)``."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    @pytest.mark.parametrize("op", ["sum", "any", "all"])
+    def test_empty_reduce_keeps_numpy_dtype(self, dtype, op):
+        values = np.array([], dtype=dtype)
+        want = NumPyBackend().reduce(values, op)
+        for backend in (BlockedBackend(), BlockedBackend(chunk=3),
+                        NativeBackend(), ReferenceBackend()):
+            got = backend.reduce(values, op)
+            assert type(got) is type(want), (backend, got, want)
+            assert got == want, backend
+
+
+# --------------------------------------------------------------------- #
 # Segmented-extreme NaN carries (regression)
 # --------------------------------------------------------------------- #
 
@@ -465,16 +486,15 @@ class TestSegExtremeNaNCarries:
             assert np.array_equal(got, want, equal_nan=True), spec
 
     def test_shard_split_carry_matches_numpy(self):
-        from repro.cluster.shardops import (seg_extreme_apply,
-                                            seg_extreme_shard)
+        from repro.backends.carry import SegExtreme
 
         v, sf = self.VALUES, self.FLAGS
-        out_a, carry_a = seg_extreme_shard(v[:4], sf[:4], np.inf,
-                                           is_max=False)
-        out_b, _ = seg_extreme_shard(v[4:], sf[4:], np.inf, is_max=False)
+        op = SegExtreme(v.dtype, np.inf, is_max=False)
+        got = np.empty_like(v)
+        carry_a = op.local(v[:4], sf[:4], got[:4])
+        op.local(v[4:], sf[4:], got[4:])
         # shard b has no head: it receives shard a's open-segment min
-        seg_extreme_apply(out_b, sf[4:], carry_a[0], is_max=False)
-        got = np.concatenate([out_a, out_b])
+        op.apply(got[4:], sf[4:], carry_a)
         assert np.array_equal(got, self._seg_min("numpy"), equal_nan=True)
 
 

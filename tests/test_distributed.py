@@ -30,6 +30,7 @@ from repro.backends.distributed import DistributedBackend
 from repro.backends.numpy_backend import NumPyBackend
 from repro.cluster import (ChaosAction, ChaosPlan, RetryPolicy,
                            exchange_rounds, exclusive_exchange)
+from repro.backends.carry import PlusScan
 from repro.cluster import shardops
 from repro.core import scans, segmented
 
@@ -193,14 +194,16 @@ class TestCarryExchange:
 class TestShardOps:
     def test_plus_scan_shard_is_exclusive_with_total_carry(self):
         values = np.array([3, 1, 4, 1, 5], dtype=np.int64)
-        out, carry = shardops.plus_scan_shard(values)
+        out = np.empty_like(values)
+        carry = shardops.local(PlusScan(values.dtype), values, None, out)
         np.testing.assert_array_equal(out, [0, 3, 4, 8, 9])
         assert carry == 14 and carry.dtype == np.int64
 
     def test_plus_scan_shard_carry_wraps_in_dtype(self):
         values = np.full(3, 200, dtype=np.uint8)
-        _, carry = shardops.plus_scan_shard(values)
-        assert carry == np.uint8(600 % 256)
+        carry = shardops.local(PlusScan(values.dtype), values, None,
+                               np.empty_like(values))
+        assert carry == np.uint8(600 % 256) and carry.dtype == np.uint8
 
     def test_checksum_distinguishes_out_carry_and_none(self):
         out = np.arange(8)

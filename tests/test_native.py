@@ -6,12 +6,12 @@ boundaries where scan bugs live (unsigned wraparound, int64 overflow,
 NaN ordering, empty float64 vectors), at adversarial block sizes so every
 case crosses block boundaries.
 
-Every test runs under **all execution tiers the host supports**: the
-plain-Python kernels (the exact arithmetic Numba compiles, kept on the
-fuzzer surface even without Numba), the vectorized per-block fallback,
-and — when Numba is installed — the compiled kernels themselves.  The
-suite is therefore meaningful both on bare NumPy containers and on CI
-legs with Numba present.
+Every test runs under **both schedules**: the carry table's sequential
+fold (what runs without Numba) and the two-phase kernels, selected by
+setting ``compiled`` to ``True``.  Without Numba the ``_K_*`` kernels are
+the plain-Python sources, so the exact arithmetic Numba compiles stays
+covered on bare NumPy hosts; with Numba they are the compiled kernels
+themselves.
 """
 import numpy as np
 import pytest
@@ -20,33 +20,22 @@ from hypothesis import strategies as st
 
 from repro import Machine
 from repro.backends import NativeBackend, NumPyBackend, ReferenceBackend
-from repro.backends import native as native_mod
-from repro.backends.native import HAVE_NUMBA
+from repro.backends.carry import MaxScan, PlusScan
 from repro.core import scans
 
 _NP = NumPyBackend()
 _REF = ReferenceBackend()
 
-#: (label, force_pure, _PY_KERNEL_MAX override) — one entry per
-#: execution tier available on this host
-MODES = [("pure-kernels", True, 1 << 30),
-         ("pure-vectorized", True, -1)]
-if HAVE_NUMBA:
-    MODES.append(("numba", False, native_mod._PY_KERNEL_MAX))
-
 BLOCKS = [1, 2, 3, 7, 64]
 
 
 def _each_native(block):
-    """Yield a fresh backend per execution tier, with the py-kernel
-    cutoff pinned so the tier actually runs (restored after each)."""
-    for label, force_pure, cutoff in MODES:
-        old = native_mod._PY_KERNEL_MAX
-        native_mod._PY_KERNEL_MAX = cutoff
-        try:
-            yield label, NativeBackend(block=block, force_pure=force_pure)
-        finally:
-            native_mod._PY_KERNEL_MAX = old
+    """Yield a fresh backend per schedule: the sequential fold, then the
+    two-phase kernels (compiled with Numba, plain Python without)."""
+    for compiled in (False, True):
+        nat = NativeBackend(block=block)
+        nat.compiled = compiled
+        yield ("kernels" if compiled else "fold"), nat
 
 
 INT_DTYPES = ["int8", "int16", "uint8", "uint32", "int64"]
@@ -204,7 +193,7 @@ class TestDtypeBoundaries:
                 assert np.array_equal(got, want), label
 
     def test_bool_vectors_delegate_to_numpy_semantics(self):
-        nat = NativeBackend(force_pure=True)
+        nat = NativeBackend()
         values = np.array([True, False, True, True])
         assert not nat._engaged(values)
         assert np.array_equal(nat.max_scan(values, False),
@@ -244,7 +233,7 @@ class TestMachineIntegration:
 
         want = run("numpy", False)
         for fusion in (False, True):
-            got = run(NativeBackend(block=64, force_pure=True), fusion)
+            got = run(NativeBackend(block=64), fusion)
             assert got == want, fusion
 
     def test_step_charges_match_numpy(self):
@@ -255,26 +244,23 @@ class TestMachineIntegration:
             scans.max_scan(v)
             return dict(m.counter.by_kind)
 
-        assert (charges(NativeBackend(block=16, force_pure=True))
+        assert (charges(NativeBackend(block=16))
                 == charges("numpy"))
 
     def test_metrics_count_fallback_and_launches(self):
         from repro.observe.metrics import registry
 
-        nat = NativeBackend(block=8, force_pure=True)
-        counter = registry.counter("native.fallback_ops")
-        before = counter.value
-        nat.plus_scan(np.arange(32, dtype=np.int64))
-        assert counter.value == before + 1
-        if HAVE_NUMBA:
-            compiled = NativeBackend(block=8)
-            launches = registry.counter("native.kernel_launches")
-            b = launches.value
-            compiled.plus_scan(np.arange(32, dtype=np.int64))
-            assert launches.value == b + 1
+        for compiled, name in ((False, "native.fallback_ops"),
+                               (True, "native.kernel_launches")):
+            nat = NativeBackend(block=8)
+            nat.compiled = compiled
+            counter = registry.counter(name)
+            before = counter.value
+            nat.plus_scan(np.arange(32, dtype=np.int64))
+            assert counter.value == before + 1, name
 
     def test_temp_bytes_is_block_bounded(self):
-        nat = NativeBackend(block=1024, force_pure=True)
+        nat = NativeBackend(block=1024)
         big = 10**8  # a 100 MB output must not imply 100 MB of temps
         assert nat.temp_bytes("plus_scan", big) < 64 * 1024 * 1024
 
@@ -284,38 +270,57 @@ class TestMachineIntegration:
 # --------------------------------------------------------------------- #
 
 class TestShardNativeHook:
-    def _arm(self, monkeypatch, mode):
+    def _arm(self, monkeypatch, have_numba):
+        """Pretend Numba is (or is not) importable, with a tiny shard
+        threshold and a hook backend running the two-phase kernels."""
         from repro.cluster import shardops
 
-        monkeypatch.setenv("REPRO_SHARD_NATIVE", mode)
+        hooked = NativeBackend()
+        hooked.compiled = True
+        monkeypatch.setattr(shardops, "HAVE_NUMBA", have_numba)
         monkeypatch.setattr(shardops, "_NATIVE_SHARD_MIN", 4)
-        monkeypatch.setattr(shardops, "_native_cache", {})
+        monkeypatch.setattr(shardops, "_shard_native", lambda: hooked)
         return shardops
 
+    @staticmethod
+    def _launches():
+        from repro.observe.metrics import registry
+
+        return registry.counter("native.kernel_launches").value
+
     def test_forced_on_routes_and_stays_bit_identical(self, monkeypatch):
-        shardops = self._arm(monkeypatch, "1")
-        assert shardops._shard_native() is not None
+        shardops = self._arm(monkeypatch, True)
+        before = self._launches()
         v = np.arange(100, dtype=np.int64) * 3 - 150
-        out, carry = shardops.plus_scan_shard(v)
+        out = np.empty_like(v)
+        carry = shardops.local(PlusScan(v.dtype), v, None, out)
         assert np.array_equal(out, np.concatenate(([0], np.cumsum(v)[:-1])))
         assert carry == v.sum()
         fv = np.array([1.5, np.nan, 2.0, 0.5] * 25)
-        out, carry = shardops.max_scan_shard(fv, -np.inf)
+        out = np.empty_like(fv)
+        carry = shardops.local(MaxScan(fv.dtype, -np.inf), fv, None, out)
         want = np.empty_like(fv)
         want[0] = -np.inf
         np.maximum.accumulate(fv[:-1], out=want[1:])
         assert np.array_equal(out, want, equal_nan=True)
         assert np.isnan(carry)  # np.maximum carry propagates NaN
+        assert self._launches() == before + 2
 
     def test_forced_off_disables(self, monkeypatch):
-        shardops = self._arm(monkeypatch, "0")
-        assert shardops._shard_native() is None
+        shardops = self._arm(monkeypatch, False)
+        before = self._launches()
+        v = np.arange(100, dtype=np.int64)
+        shardops.local(PlusScan(v.dtype), v, None, np.empty_like(v))
+        assert self._launches() == before
 
     def test_float_plus_shards_keep_the_serial_path(self, monkeypatch):
         """Solo float requests must never re-associate locally, so the
         +-shard routes only integer dtypes through the two-phase scan."""
-        shardops = self._arm(monkeypatch, "1")
+        shardops = self._arm(monkeypatch, True)
+        before = self._launches()
         fv = np.linspace(0.0, 1.0, 64) * 1e16 + 1.0
-        out, _ = shardops.plus_scan_shard(fv)
+        out = np.empty_like(fv)
+        shardops.local(PlusScan(fv.dtype), fv, None, out)
         want = np.concatenate(([0.0], np.cumsum(fv)[:-1]))
         assert np.array_equal(out, want)  # bit-exact, not just close
+        assert self._launches() == before

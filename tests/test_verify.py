@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from repro import Machine
 from repro.cli import main
+from repro.core import scans
 from repro.observe.metrics import registry
 from repro.verify import (DEFAULT_ENGINES, OPS, Case, ConformanceReport,
                           generate_cases, load_corpus, results_equal,
@@ -108,6 +110,20 @@ class TestResultsEqual:
         a = np.array([np.nan, 1.0])
         assert results_equal(spec, a, a.copy())
         assert not results_equal(spec, a, np.array([np.nan, 1.0 + 1e-15]))
+
+    def test_signed_zero_compares_by_value_not_bits(self):
+        """The max family is bit-exact *up to the sign of zero*: engines
+        really differ there (this witness gives 0.0 at index 5 on numpy
+        and -0.0 on blocked:4), and np.array_equal counts them equal."""
+        spec = OPS["max_scan"]
+        a, b = np.array([0.0, 1.0]), np.array([-0.0, 1.0])
+        assert np.signbit(b[0]) and results_equal(spec, a, b)
+        witness = [0.0, -1.5, 0.0, -0.0, 0.0, -1.5, 1.0, -np.inf]
+        got = []
+        for engine in ("numpy", "blocked:4"):
+            m = Machine("scan", backend=engine)
+            got.append(scans.max_scan(m.vector(witness)).data)
+        assert results_equal(spec, *got)
 
     def test_additive_float_tolerant(self):
         spec = OPS["plus_scan"]
