@@ -1,13 +1,18 @@
-"""Fused scan pipelines: wall time and peak temporaries, fused vs eager.
+"""Fused scan pipelines on the engines that fuse: wall time and peak memory.
 
-The lazy expression DAG (``docs/fusion.md``) promises that deferring a
-chain of elementwise operations into one ``fused_pipeline`` dispatch is
-(a) never slower than materializing every intermediate, and (b) much
-lighter on temporary memory — one pooled buffer on the NumPy backend,
-``steps x chunk`` on the Blocked backend — while remaining bit-identical
-in both results and step charges.  This file measures all of it on the
-workload the design targets: a four-op elementwise chain ending in a
-``plus_scan``.
+Only the block-wise engines, ``blocked`` and ``native``, defer elementwise
+chains (``Backend.fuses``; see ``docs/fusion.md``).  This file measures
+what that buys on the workload the design targets: a four-op elementwise
+chain ending in a ``plus_scan``.  Both modes run on the backend alone, so
+the Vector front end is off the clock:
+
+* eager — the backend's own ``elementwise`` for each op, then its
+  ``plus_scan`` over the materialized chain;
+* fused — ``backend.fused_pipeline`` on the compiled plan, which runs the
+  chain block by block straight into the scan's carry fold.
+
+Results must be bit-identical; fused must peak at under half the eager
+memory.
 """
 import time
 import tracemalloc
@@ -15,8 +20,8 @@ import tracemalloc
 import numpy as np
 
 from repro import Machine
-from repro.backends import BlockedBackend
-from repro.core import scans
+from repro.backends import BlockedBackend, NativeBackend
+from repro.core.lazy import compile_plan
 
 from _common import fmt_row, write_report
 
@@ -24,6 +29,8 @@ _report_lines: dict[str, list[str]] = {}
 
 N = 1 << 20
 CHUNK = 4_096
+BACKENDS = {"blocked": lambda: BlockedBackend(chunk=CHUNK),
+            "native": lambda: NativeBackend(block=CHUNK)}
 
 
 def _publish(section: str, lines: list[str]) -> None:
@@ -34,17 +41,19 @@ def _publish(section: str, lines: list[str]) -> None:
     write_report("fusion", flat[:-1])
 
 
-def _machine(backend: str, fusion: bool) -> Machine:
-    if backend == "blocked":
-        return Machine("scan", backend=BlockedBackend(chunk=CHUNK),
-                       fusion=fusion)
-    return Machine("scan", backend=backend, fusion=fusion)
+def _eager(backend, data: np.ndarray) -> np.ndarray:
+    """``plus_scan((data*3 + 1) - data//7)``, one backend op at a time."""
+    a = backend.elementwise(np.multiply, data, 3)
+    a = backend.elementwise(np.add, a, 1)
+    b = backend.elementwise(np.floor_divide, data, 7)
+    return backend.plus_scan(backend.elementwise(np.subtract, a, b))
 
 
-def _workload(m: Machine, data: np.ndarray) -> np.ndarray:
-    """Chained elementwise -> scan: 4 deferred steps + terminal."""
-    v = m.vector(data)
-    return scans.plus_scan((v * 3 + 1) - (v // 7)).data
+def _plan(backend, data: np.ndarray):
+    """The same chain as one compiled plan with a terminal ``plus_scan``."""
+    v = Machine("scan", backend=backend).vector(data)
+    chain = (v * 3 + 1) - (v // 7)
+    return compile_plan(chain._pending_node(), terminal="plus_scan")
 
 
 def _best_of(fn, repeats=5):
@@ -62,35 +71,36 @@ def test_wallclock_fused_vs_eager(benchmark):
 
     widths = [9, 12, 12, 8]
     lines = [f"Wall-clock, elementwise chain + plus_scan "
-             f"(n={N:,}, best of 5)",
+             f"(n={N:,}, chunk={CHUNK:,}, best of 5)",
              fmt_row(["backend", "eager (ms)", "fused (ms)", "ratio"],
                      widths)]
-    for backend in ("numpy", "blocked"):
-        m_e = _machine(backend, fusion=False)
-        m_f = _machine(backend, fusion=True)
-        out_e = _workload(m_e, data)
-        out_f = _workload(m_f, data)
-        assert np.array_equal(out_e, out_f)
-        assert m_e.snapshot().by_kind == m_f.snapshot().by_kind
-
-        t_e = _best_of(lambda: _workload(m_e, data))
-        t_f = _best_of(lambda: _workload(m_f, data))
-        lines.append(fmt_row([backend, f"{t_e * 1e3:.3f}",
+    for name, make in BACKENDS.items():
+        backend = make()
+        plan = _plan(backend, data)
+        assert np.array_equal(_eager(backend, data),
+                              backend.fused_pipeline(plan))
+        t_e = _best_of(lambda: _eager(backend, data))
+        t_f = _best_of(lambda: backend.fused_pipeline(plan))
+        lines.append(fmt_row([name, f"{t_e * 1e3:.3f}",
                               f"{t_f * 1e3:.3f}", f"{t_f / t_e:.2f}x"],
                              widths))
     _publish("wallclock", lines)
-    benchmark(lambda: _workload(_machine("numpy", True), data))
+    blocked = BACKENDS["blocked"]()
+    plan = _plan(blocked, data)
+    benchmark(lambda: blocked.fused_pipeline(plan))
 
 
-def test_peak_temporaries_fused_vs_eager():
+def test_peak_memory_fused_vs_eager():
     data = np.arange(N)
     peaks = {}
-    for backend in ("numpy", "blocked"):
-        for mode, fusion in (("eager", False), ("fused", True)):
-            m = _machine(backend, fusion)
+    for name, make in BACKENDS.items():
+        backend = make()
+        plan = _plan(backend, data)
+        for mode, run in (("eager", lambda: _eager(backend, data)),
+                          ("fused", lambda: backend.fused_pipeline(plan))):
             tracemalloc.start()
-            out = _workload(m, data)
-            _, peaks[backend, mode] = tracemalloc.get_traced_memory()
+            out = run()
+            _, peaks[name, mode] = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             assert len(out) == N
 
@@ -99,17 +109,14 @@ def test_peak_temporaries_fused_vs_eager():
              f"(n={N:,}, chunk={CHUNK:,})",
              fmt_row(["backend", "mode", "peak (bytes)", "bytes / element"],
                      widths)]
-    for (backend, mode), peak in peaks.items():
-        lines.append(fmt_row([backend, mode, peak, f"{peak / N:.1f}"],
-                             widths))
-    for backend in ("numpy", "blocked"):
-        r = peaks[backend, "eager"] / peaks[backend, "fused"]
-        lines.append(f"{backend}: fused peaks at 1/{r:.2f} of eager "
+    for (name, mode), peak in peaks.items():
+        lines.append(fmt_row([name, mode, peak, f"{peak / N:.1f}"], widths))
+    for name in BACKENDS:
+        r = peaks[name, "eager"] / peaks[name, "fused"]
+        lines.append(f"{name}: fused peaks at 1/{r:.2f} of eager "
                      f"({r:.2f}x reduction)")
     _publish("memory", lines)
 
-    # the acceptance bar: >= 2x peak-temp reduction on blocked; on numpy
-    # the in-place buffer pool holds peak at parity with eager (the win
-    # there is allocation churn and wall-clock, not peak liveness)
-    assert peaks["blocked", "eager"] >= 2 * peaks["blocked", "fused"]
-    assert peaks["numpy", "fused"] <= peaks["numpy", "eager"] * 1.01
+    # the acceptance bar: fusion must at least halve peak memory
+    for name in BACKENDS:
+        assert peaks[name, "eager"] >= 2 * peaks[name, "fused"], name

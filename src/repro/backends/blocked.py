@@ -21,6 +21,11 @@ is associative modulo 2^64, max/min are exactly associative).  Float
 ``+``-scans may round differently from the whole-vector ``np.cumsum``,
 exactly as a real blocked machine would.
 
+Elementwise chains defer on this engine (``fuses``): a chain ending in a
+scan is evaluated chunk by chunk straight into that scan's fold
+(:func:`repro.backends.carry.run_plan`), so no chain intermediate is ever
+longer than a chunk.
+
 Two table-driven segmented operations (``seg_back_copy``,
 ``seg_distribute``) need per-segment lookahead, so they build an
 ``O(#segments)`` table of per-segment results and then spread it in
@@ -34,7 +39,7 @@ import numpy as np
 
 from .base import Backend
 from .carry import (MaxScan, PlusScan, Reduce, SegExtreme, SegPlus, blocks,
-                    carry_op, fold)
+                    fold, run_plan)
 from .numpy_backend import NumPyBackend
 
 __all__ = ["BlockedBackend"]
@@ -48,6 +53,7 @@ class BlockedBackend(Backend):
 
     name = "blocked"
     spec_syntax = "blocked[:<chunk>]"
+    fuses = True
 
     @classmethod
     def from_spec(cls, arg: str) -> "BlockedBackend":
@@ -65,6 +71,7 @@ class BlockedBackend(Backend):
         if chunk < 1:
             raise ValueError(f"chunk size must be >= 1, got {chunk}")
         self.chunk = int(chunk)
+        self._fused_temp = 0
         # per-segment table operations reuse the whole-vector expressions
         # on one chunk at a time
         self._np = NumPyBackend()
@@ -77,9 +84,9 @@ class BlockedBackend(Backend):
         chunk of the widest lane (8-byte words), regardless of vector
         length — the figure a profiler should see drop when switching a
         long-vector run from ``numpy`` to ``blocked``.  Fused pipelines
-        report the chain executor's own chunk-bounded accounting."""
+        report their chain's chunk-bounded footprint."""
         if op == "fused_pipeline":
-            return super().temp_bytes(op, out_bytes)
+            return self._fused_temp
         return min(out_bytes, self.chunk * 8)
 
     def _spans(self, n: int) -> Iterator[tuple[int, int]]:
@@ -94,29 +101,12 @@ class BlockedBackend(Backend):
     # ------------------------ fused pipelines -------------------------- #
 
     def fused_pipeline(self, plan) -> np.ndarray:
-        """Fold the elementwise chain into the per-chunk carry loop.
-
-        Each chunk is produced by evaluating the whole chain on that
-        chunk's rows alone (:meth:`FusedPlan.rows`), then consumed at once
-        — by the output buffer for a plain chain, or by the terminal
-        scan's carry fold, so a fused ``plus_scan(a*b + c)`` makes **one
-        pass** over each chunk with only chunk-sized temporaries.  The
-        fold is the eager scans' own, so fused results are bit-identical
-        to unfused blocked execution (including float association).
-        """
-        n = plan.n
-        dtype = plan.root_dtype
-        out = np.empty(n, dtype=dtype)
-        # chain intermediates + the evaluated chunk, all chunk-sized
-        self._fused_temp = (len(plan.steps)
-                            * min(n, self.chunk) * max(1, dtype.itemsize))
-        if plan.terminal is None:
-            for s, e in self._spans(n):
-                out[s:e] = plan.rows(s, e)
-        else:
-            fold(carry_op(plan.terminal, dtype, *plan.terminal_args),
-                 self._spans(n), plan.rows, out=out)
-        return out
+        """Run the chain chunk by chunk through the shared block executor
+        (:func:`repro.backends.carry.run_plan`): a fused
+        ``plus_scan(a*b + c)`` makes one pass over each chunk with only
+        chunk-sized temporaries."""
+        self._fused_temp = plan.block_temp_bytes(self.chunk)
+        return run_plan(plan, self._spans(plan.n))
 
     # -------------------------- elementwise --------------------------- #
 

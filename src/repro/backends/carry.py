@@ -19,7 +19,8 @@ segmented ``seg_plus`` and ``seg_extreme`` scans, and ``reduce`` — as one
 Three schedules run the same table:
 
 * :func:`fold` — the sequential left-to-right fold of the blocked backend
-  and of the native backend without Numba;
+  and of the native backend without Numba, which is also how both run a
+  fused elementwise chain ending in a scan (:func:`run_plan`);
 * the native backend's compiled two-phase sweep — upsweep kernels make
   the block carries, :func:`exclusive` scans them on the host through
   ``combine``, downsweep kernels seed every block with its carry-in;
@@ -46,7 +47,8 @@ import numpy as np
 from .numpy_backend import _REDUCERS, _exclusive_cumsum, _seg_running_extreme
 
 __all__ = ["CarryOp", "MaxScan", "PlusScan", "Reduce", "SegExtreme",
-           "SegPlus", "TABLE", "blocks", "carry_op", "exclusive", "fold"]
+           "SegPlus", "TABLE", "blocks", "carry_op", "exclusive", "fold",
+           "run_plan"]
 
 
 def _add(a, b, dtype):
@@ -299,6 +301,27 @@ def fold(op: CarryOp, bounds: Iterable, rows: Callable, flags=None,
             op.apply(o, f, carry)
         carry = op.combine(carry, block)
     return carry
+
+
+def run_plan(plan, bounds: Iterable) -> np.ndarray:
+    """Evaluate a :class:`~repro.backends.plan.FusedPlan` block by block.
+
+    Each block ``(s, e)`` of ``bounds`` evaluates the whole chain on its
+    own rows (:meth:`FusedPlan.rows`), so chain temporaries stay
+    block-sized at any vector length.  Without a terminal scan the blocks
+    fill the output in order; with one, they feed the scan's :func:`fold`
+    directly, so ``plus_scan(a*b + c)`` makes one pass over each block.
+    The fold is the eager scans' own, so the result is bit-identical to
+    evaluating the chain and then scanning it over the same blocks.
+    """
+    out = np.empty(plan.n, dtype=plan.root_dtype)
+    if plan.terminal is None:
+        for s, e in bounds:
+            out[s:e] = plan.rows(s, e)
+    else:
+        fold(carry_op(plan.terminal, out.dtype, *plan.terminal_args),
+             bounds, plan.rows, out=out)
+    return out
 
 
 def exclusive(op: CarryOp, carries) -> tuple:

@@ -38,6 +38,9 @@ convention as the numpy engine, see ``docs/verification.md``.
 Everything else — communication, broadcast, the table-driven segmented
 ops — inherits :class:`NumPyBackend` unchanged: the paper's argument is
 about the scans, and that is where the parallel schedule pays.
+Elementwise chains defer on this engine (``fuses``) and run block by
+block through the executor it shares with the blocked backend
+(:func:`repro.backends.carry.run_plan`).
 
 Selection: ``Machine(backend="native")``, ``native:<threads>``,
 ``native:<threads>:<block>`` (``threads=0`` means Numba's default), or
@@ -48,10 +51,12 @@ and the ``native.threads`` gauge reports the configured thread count.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .carry import (CarryOp, MaxScan, PlusScan, SegExtreme, SegPlus,
-                    blocks, exclusive, fold)
+                    blocks, exclusive, fold, run_plan)
 from .numpy_backend import NumPyBackend
 
 __all__ = ["NativeBackend", "HAVE_NUMBA"]
@@ -234,6 +239,7 @@ class NativeBackend(NumPyBackend):
 
     name = "native"
     spec_syntax = "native[:<threads>[:<block>]]"
+    fuses = True
 
     @classmethod
     def from_spec(cls, arg: str) -> "NativeBackend":
@@ -262,6 +268,7 @@ class NativeBackend(NumPyBackend):
             raise ValueError(f"block size must be >= 1, got {block}")
         self.threads = int(threads)
         self.block = int(block)
+        self._fused_temp = 0
         #: whether the two-phase kernels run (vs the sequential fold)
         self.compiled = HAVE_NUMBA
         if self.compiled and self.threads:
@@ -298,7 +305,7 @@ class NativeBackend(NumPyBackend):
         per block) plus block-bounded temporaries — on the fold path the
         rank-encoding segmented extreme holds about three of them."""
         if op == "fused_pipeline":
-            return int(getattr(self, "_fused_temp", out_bytes))
+            return self._fused_temp
         per_block = min(out_bytes, self.block * 8)
         partials = 2 * max(1, out_bytes // max(1, self.block * 8)) * 8
         if op == "seg_extreme_scan" and not self.compiled:
@@ -384,36 +391,30 @@ class NativeBackend(NumPyBackend):
                           values, seg_flags)
 
     # ------------------------------------------------------------------ #
-    # Fused pipelines: the elementwise chain evaluated block by block
-    # into the scan's input buffer, then one block-schedule scan over it
+    # Fused pipelines: the shared block executor, or, when compiled and
+    # ending in a scan, the chain materialized block by block and then
+    # swept by the two-phase kernels
     # ------------------------------------------------------------------ #
 
     def fused_pipeline(self, plan) -> np.ndarray:
-        """Fold the chain into the per-block schedule.
+        """Evaluate the chain block by block (block-bounded chain
+        temporaries, :func:`repro.backends.carry.run_plan`).
 
-        The chain is evaluated one block at a time into the preallocated
-        scan input (block-bounded chain temporaries, via
-        :meth:`FusedPlan.rows`), and the terminal scan then runs as the
-        ordinary block schedule over that buffer — so fused results are
-        bit-identical to eager native execution, and a fused
-        ``plus_scan(a*b + c)`` materializes one full-length buffer plus
-        one block of chain intermediates.  Plans without a terminal scan
-        use NumPy's pooled whole-vector evaluation (nothing to sweep).
+        Without Numba, or without a terminal scan, the executor does it
+        all — a terminal scan is the same carry fold the eager scans run
+        here.  Compiled, the executor materializes the chain's root and
+        the terminal scan then runs as the ordinary two-phase sweep over
+        it, so fused results are bit-identical to eager native execution.
         """
-        n = plan.n
-        if plan.terminal is None or n < 2:
-            return super().fused_pipeline(plan)
-        dtype = plan.root_dtype
-        root = np.empty(n, dtype=dtype)
-        per_block = min(n, self.block)
-        for s, e in blocks(n, self.block):
-            root[s:e] = plan.rows(s, e)
-        out = getattr(self, plan.terminal)(root, *plan.terminal_args)
-        # the chain's block-sized intermediates + the materialized scan
-        # input + the per-block partials
-        self._fused_temp = (len(plan.steps) * per_block
-                            * max(1, dtype.itemsize)
-                            + root.nbytes
-                            + 2 * _nblocks(n, self.block)
-                            * max(1, dtype.itemsize))
-        return out
+        spans = blocks(plan.n, self.block)
+        self._fused_temp = plan.block_temp_bytes(self.block)
+        if plan.terminal is None:
+            return run_plan(plan, spans)
+        if not self.compiled:
+            self._fallbacks.inc()
+            return run_plan(plan, spans)
+        root = run_plan(replace(plan, terminal=None), spans)
+        # plus the materialized scan input and the per-block partials
+        partials = 2 * _nblocks(plan.n, self.block) * root.itemsize
+        self._fused_temp += root.nbytes + partials
+        return getattr(self, plan.terminal)(root, *plan.terminal_args)

@@ -5,18 +5,20 @@ lazy expression DAG (:mod:`repro.core.lazy`) at the moment it is forced:
 a tuple of leaf input arrays, a topologically ordered tuple of
 :class:`PlanStep` elementwise operations over them, and — when the DAG is
 being forced *by* a primitive scan — a terminal scan op the backend may
-fold the chain into.  Plans are immutable and contain no machine, charge
-or fault state: the :class:`~repro.machine.Machine` computes every step
-and wire charge from the *logical* ops before the plan ever reaches a
-backend, exactly as it does for eager execution.
+fold the chain into.  Only a backend that ``fuses`` ever receives one,
+and runs it block by block (:func:`repro.backends.carry.run_plan`).
+Plans are immutable and contain no machine, charge or fault state: the
+:class:`~repro.machine.Machine` computes every step and wire charge from
+the *logical* ops before the plan ever reaches a backend, exactly as it
+does for eager execution.
 
 Step kinds (the full elementwise vocabulary of
 :class:`~repro.core.vector.Vector`):
 
 * ``"ufunc"`` — ``fn`` is a NumPy ufunc applied to the operands; the
   recorded ``dtype`` is NumPy's own result dtype (probed on zero-length
-  slices at build time), so a backend may evaluate into a preallocated
-  ``out=`` buffer of that dtype and get bit-identical results;
+  slices at build time), so a backend can allocate the plan's output
+  before evaluating any step;
 * ``"where"`` — the three-operand select ``np.where(flags, a, b)``;
 * ``"cast"`` — ``operand.astype(dtype)`` (unsafe casting, NumPy's
   ``astype`` default);
@@ -55,8 +57,8 @@ class PlanStep:
                              f"expected one of {STEP_KINDS}")
 
     def as_callable(self) -> Callable:
-        """The step as a plain elementwise callable, for backends that
-        replay steps through their existing ``elementwise`` method."""
+        """The step as a plain elementwise callable, as
+        :meth:`FusedPlan.rows` evaluates it."""
         if self.kind == "cast":
             dt = self.dtype
             return lambda a: a.astype(dt)
@@ -95,6 +97,12 @@ class FusedPlan:
         """Result dtype of the elementwise chain (and of the terminal
         scan, which preserves its operand's dtype)."""
         return self.steps[-1].dtype
+
+    def block_temp_bytes(self, block: int) -> int:
+        """Working storage of :meth:`rows` on one ``block``-row block:
+        one block-sized intermediate per step."""
+        return (len(self.steps) * min(self.n, block)
+                * max(1, self.root_dtype.itemsize))
 
     def resolve(self, ref, env: list):
         """Dereference one operand: ``env`` holds computed step outputs."""

@@ -182,6 +182,9 @@ class ReferenceBackend(Backend):
                 for i in range(len(values)):
                     acc = acc + values[i]
             return acc
+        if not len(values) and op in ("max", "min"):
+            # no identity: raise numpy's own zero-size ValueError
+            return (np.max if op == "max" else np.min)(values)
         acc = values[0]
         for i in range(1, len(values)):
             if op == "max":

@@ -1,7 +1,9 @@
 """The lazy expression DAG behind :class:`~repro.core.vector.Vector`.
 
-With fusion enabled (see :class:`repro.machine.Machine`), elementwise
-vector operations do not materialize: they build one immutable
+On a machine whose backend ``fuses`` (the block-wise ``blocked`` and
+``native`` engines; see :attr:`repro.backends.Backend.fuses` and
+:attr:`repro.machine.Machine.fusion_enabled`), elementwise vector
+operations do not materialize: they build one immutable
 :class:`LazyNode` per operation — a small DAG whose leaves are already
 materialized arrays and scalar immediates — and defer computation until an
 *observable boundary* forces the chain (``.data``, a scan, a permute, a
@@ -12,8 +14,8 @@ Two invariants make laziness undetectable from the cost model's side:
 * **Charges are logical and eager.**  The machine is charged for an
   elementwise op when its node is *built*, in exactly the order eager
   execution would charge it, so step counters — and anything listening to
-  them, like the span profiler — are bit-identical whether fusion is on
-  or off, even for chains that are never forced.
+  them, like the span profiler — are bit-identical on a lazy and an
+  eager engine, even for chains that are never forced.
 * **Dtypes are NumPy's own.**  Each node's result dtype is probed at
   build time by evaluating the operation on zero-length slices of its
   operands, so promotion decisions are made by NumPy itself and match

@@ -12,7 +12,7 @@ Vectors are immutable: operations return new vectors, and the underlying
 buffer is marked read-only, so accidental aliasing cannot corrupt step
 accounting or results.
 
-With fusion enabled on the machine (the default; see
+On a machine whose backend fuses (``blocked`` and ``native``; see
 :class:`~repro.machine.Machine` and ``docs/fusion.md``), elementwise
 operations are **lazy**: they charge their program steps immediately — in
 exactly eager order, so step counts are bit-identical either way — but

@@ -116,17 +116,14 @@ class StepSnapshot:
     ``backend`` names the execution engine that computed the charged
     primitives when the snapshot came from
     :meth:`repro.machine.Machine.snapshot` (``None`` when taken directly
-    from a bare counter, which has no engine to name); ``fusion`` records
-    the machine's lazy-fusion setting the same way.  Both are labels, not
-    measurements: charges are identical whatever engine or fusion mode
-    computed them.
+    from a bare counter, which has no engine to name).  It is a label, not
+    a measurement: charges are identical whatever engine computed them.
     """
 
     steps: int
     by_kind: dict[str, int]
     ops: int
     backend: str | None = None
-    fusion: bool | None = None
 
     @property
     def degraded(self) -> bool:
@@ -144,7 +141,6 @@ class StepSnapshot:
             by_kind={k: v for k, v in kinds.items() if v},
             ops=self.ops - other.ops,
             backend=self.backend,
-            fusion=self.fusion,
         )
 
 
@@ -178,10 +174,9 @@ class StepCounter:
         self.ops = 0
         self.by_kind.clear()
 
-    def snapshot(self, backend: str | None = None,
-                 fusion: bool | None = None) -> StepSnapshot:
+    def snapshot(self, backend: str | None = None) -> StepSnapshot:
         return StepSnapshot(steps=self.steps, by_kind=dict(self.by_kind),
-                            ops=self.ops, backend=backend, fusion=fusion)
+                            ops=self.ops, backend=backend)
 
     @contextmanager
     def measure(self):

@@ -24,7 +24,6 @@ complexity of Table 5.
 """
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Optional, Union
 
@@ -37,30 +36,6 @@ from .capabilities import CAPABILITIES, Capabilities
 from .counters import FaultCounters, ForkCounters, StepCounter, StepSnapshot
 
 __all__ = ["Machine", "CapabilityError"]
-
-#: environment variable toggling lazy fusion (``0`` off / ``1`` on),
-#: mirroring ``REPRO_BACKEND``; an explicit ``Machine(fusion=...)`` wins
-FUSION_ENV_VAR = "REPRO_FUSION"
-
-_FUSION_VALUES = {"1": True, "true": True, "on": True, "yes": True,
-                  "0": False, "false": False, "off": False, "no": False}
-
-
-def _resolve_fusion(flag: Optional[bool]) -> bool:
-    """The machine's fusion setting: the explicit constructor flag if
-    given, else the ``REPRO_FUSION`` environment variable, else on."""
-    if flag is not None:
-        return bool(flag)
-    env = os.environ.get(FUSION_ENV_VAR)
-    if env is None or not env.strip():
-        return True
-    try:
-        return _FUSION_VALUES[env.strip().lower()]
-    except KeyError:
-        raise ValueError(
-            f"{FUSION_ENV_VAR} must be one of {sorted(_FUSION_VALUES)}, "
-            f"got {env!r}") from None
-
 
 class CapabilityError(RuntimeError):
     """An algorithm used a primitive the machine model does not provide.
@@ -116,17 +91,11 @@ class Machine:
         variable before falling back to vectorized NumPy.  The backend
         changes only *how* results are computed; charges, capabilities
         and fault handling are backend-independent (see
-        :mod:`repro.backends`).
-    fusion:
-        Whether elementwise vector operations build lazy expression DAGs
-        fused into single ``fused_pipeline`` primitives at observable
-        boundaries (see :mod:`repro.core.lazy` and ``docs/fusion.md``).
-        ``None`` (default) honors the ``REPRO_FUSION`` environment
-        variable (``0`` / ``1``) before falling back to on.  Step charges
-        are bit-identical either way — fusion changes execution, never
-        the cost model.  Fusion is suspended automatically while a
-        ``fault_injector`` is attached (injection targets individual
-        eager primitives).
+        :mod:`repro.backends`).  On a backend that ``fuses`` (``blocked``,
+        ``native``) elementwise operations build lazy expression DAGs run
+        as single ``fused_pipeline`` primitives at observable boundaries
+        (see :mod:`repro.core.lazy` and ``docs/fusion.md``); step charges
+        are bit-identical either way.
 
     Examples
     --------
@@ -149,7 +118,6 @@ class Machine:
         reliability=None,
         fault_injector=None,
         backend: Optional[Union[str, Backend]] = None,
-        fusion: Optional[bool] = None,
     ) -> None:
         if model not in CAPABILITIES:
             raise ValueError(
@@ -161,8 +129,6 @@ class Machine:
         self.capabilities: Capabilities = CAPABILITIES[model]
         #: the execution backend computing every primitive (see ``execute``)
         self.backend: Backend = resolve_backend(backend)
-        #: lazy-fusion setting (see ``fusion_enabled`` for the live gate)
-        self.fusion: bool = _resolve_fusion(fusion)
         self.num_processors = num_processors
         self.allow_concurrent_write = allow_concurrent_write
         self.counter = StepCounter()
@@ -221,12 +187,11 @@ class Machine:
 
     @property
     def fusion_enabled(self) -> bool:
-        """Whether elementwise ops defer into lazy DAGs right now: the
-        machine's ``fusion`` setting, suspended while a fault injector is
-        attached (the injector's schedule addresses individual eager
-        primitives, so fused execution would change which outputs it
-        corrupts)."""
-        return self.fusion and self.fault_injector is None
+        """Whether elementwise ops defer into lazy DAGs right now: when
+        the backend ``fuses``, except while a fault injector is attached
+        (the injector's schedule addresses individual eager primitives,
+        so fused execution would change which outputs it corrupts)."""
+        return self.backend.fuses and self.fault_injector is None
 
     def reset(self) -> None:
         """Zero all counters and clear the degraded-scan latch (the RNG
@@ -248,10 +213,8 @@ class Machine:
 
     def snapshot(self) -> StepSnapshot:
         """A point-in-time reading, stamped with the active backend's name
-        and fusion setting so profile reports and failure messages
-        identify the engine configuration."""
-        return self.counter.snapshot(backend=self.backend.name,
-                                     fusion=self.fusion)
+        so profile reports and failure messages identify the engine."""
+        return self.counter.snapshot(backend=self.backend.name)
 
     @contextmanager
     def measure(self):
@@ -274,7 +237,6 @@ class Machine:
         p = self.num_processors if self.num_processors is not None else "n"
         return (f"Machine(model={self.model!r}, p={p}, "
                 f"backend={self.backend.name!r}, "
-                f"fusion={'on' if self.fusion else 'off'}, "
                 f"steps={self.steps})")
 
     # ------------------------------------------------------------------ #

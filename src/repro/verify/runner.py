@@ -2,20 +2,20 @@
 
 For each :class:`~repro.verify.corpus.Case` the runner materializes the
 inputs once, computes the serial-oracle answer, then runs the operation on
-a **fresh machine per engine and fusion mode** — vectorized NumPy, the
-blocked backend at two chunk sizes (chunk boundaries are where
-carry-propagation bugs live), the per-element reference backend, and the
-two-phase native backend at the default and a tiny block size (block
-boundaries are its chunk boundaries), each once eager and once with the
-lazy fused-pipeline path — and demands:
+a **fresh machine per engine** — vectorized NumPy, the blocked backend
+at two chunk sizes (chunk boundaries are where carry-propagation bugs
+live), the per-element reference backend, and the two-phase native
+backend at the default and a tiny block size (block boundaries are its
+chunk boundaries), each in the mode its backend picks: eager on numpy
+and reference, lazy fused pipelines on blocked and native — and demands:
 
 * every engine's *result* matches the oracle (bit-identical for integer
   and bool vectors; NaN-aware bit equality for non-additive float ops;
   a 1e-12 relative tolerance for the float +-family, whose association
   the blocked schedule legitimately changes), and
 * every engine's *step charges* are identical, kind for kind, across
-  backends **and** fusion modes — the cost model is host-side and must
-  leak neither backend details nor whether execution was deferred.
+  backends — the cost model is host-side and must leak neither backend
+  details nor whether execution was deferred.
 
 One carve-out: for ops whose NaN handling is a *documented* departure
 from sequential semantics (``nan_ok=False`` in the opset — the segmented
@@ -30,7 +30,7 @@ Anything else is a :class:`Divergence`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -145,32 +145,30 @@ def _run_materialized(spec: OpSpec, case: Case, mat, engines) -> "CaseOutcome":
     baseline_steps = None
     baseline_engine = None
     for engine in engines:
-        for fusion in (False, True):
-            label = f"{engine}[{'fused' if fusion else 'eager'}]"
-            m = Machine(spec.model, backend=engine, fusion=fusion)
-            try:
-                actual = spec.run(m, mat)
-            except Exception as exc:  # an engine crashing IS a finding
-                divergences.append(Divergence(
-                    case=case, kind="error", engine=label,
-                    expected=_portable(expected),
-                    actual=f"{type(exc).__name__}: {exc}"))
-                continue
-            if expected is None:
-                expected, expected_from = actual, label
-            elif not results_equal(spec, expected, actual):
-                divergences.append(Divergence(
-                    case=case, kind="result",
-                    engine=f"{label} (vs {expected_from})",
-                    expected=_portable(expected), actual=_portable(actual)))
-            steps = dict(m.counter.by_kind)
-            if baseline_steps is None:
-                baseline_steps, baseline_engine = steps, label
-            elif steps != baseline_steps:
-                divergences.append(Divergence(
-                    case=case, kind="steps", engine=label,
-                    expected=f"{baseline_engine}: {baseline_steps}",
-                    actual=steps))
+        m = Machine(spec.model, backend=engine)
+        try:
+            actual = spec.run(m, mat)
+        except Exception as exc:  # an engine crashing IS a finding
+            divergences.append(Divergence(
+                case=case, kind="error", engine=engine,
+                expected=_portable(expected),
+                actual=f"{type(exc).__name__}: {exc}"))
+            continue
+        if expected is None:
+            expected, expected_from = actual, engine
+        elif not results_equal(spec, expected, actual):
+            divergences.append(Divergence(
+                case=case, kind="result",
+                engine=f"{engine} (vs {expected_from})",
+                expected=_portable(expected), actual=_portable(actual)))
+        steps = dict(m.counter.by_kind)
+        if baseline_steps is None:
+            baseline_steps, baseline_engine = steps, engine
+        elif steps != baseline_steps:
+            divergences.append(Divergence(
+                case=case, kind="steps", engine=engine,
+                expected=f"{baseline_engine}: {baseline_steps}",
+                actual=steps))
     return CaseOutcome(case=case, divergences=tuple(divergences))
 
 

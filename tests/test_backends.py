@@ -458,6 +458,17 @@ class TestEmptyReduce:
             assert type(got) is type(want), (backend, got, want)
             assert got == want, backend
 
+    @pytest.mark.parametrize("op", ["max", "min"])
+    @pytest.mark.parametrize("backend", [
+        NumPyBackend(), BlockedBackend(), BlockedBackend(chunk=3),
+        NativeBackend(), ReferenceBackend()], ids=repr)
+    def test_empty_extreme_raises_numpys_error(self, backend, op):
+        """Max/min of nothing has no identity: every engine raises
+        numpy's own ``ValueError`` (reference used to index ``values[0]``
+        and raise ``IndexError``)."""
+        with pytest.raises(ValueError, match="zero-size array"):
+            backend.reduce(np.array([], dtype=np.int64), op)
+
 
 # --------------------------------------------------------------------- #
 # Segmented-extreme NaN carries (regression)

@@ -1,9 +1,10 @@
 """Unit tests for the lazy expression DAG and fused scan pipelines.
 
-The differential property suite (eager vs lazy on every backend) lives in
-``test_fusion_properties.py``; this file pins the mechanics: when chains
-defer, what forces them, how charges stay logical, how plans compile, and
-how the toggles surface.
+The differential property suite (each engine against an eager numpy
+machine) lives in ``test_fusion_properties.py``; this file pins the
+mechanics on a ``blocked`` machine, where chains defer: which engines
+defer, what forces a chain, how charges stay logical, and how plans
+compile.
 """
 import numpy as np
 import pytest
@@ -14,15 +15,14 @@ from repro.backends.plan import FusedPlan, PlanStep
 from repro.core import scans, segmented
 from repro.core.lazy import LazyNode, compile_plan, probe_dtype
 from repro.faults import FaultInjector, FaultPlan
-from repro.machine.model import FUSION_ENV_VAR
 
 
-def fused(backend="numpy"):
-    return Machine("scan", backend=backend, fusion=True)
+def fused(backend="blocked"):
+    return Machine("scan", backend=backend)
 
 
 def eager():
-    return Machine("scan", fusion=False)
+    return Machine("scan", backend="numpy")
 
 
 class TestLaziness:
@@ -107,48 +107,24 @@ class TestCharges:
         assert m.steps == me.steps == 2
 
     def test_blocked_charges_match_numpy_charges(self):
-        a = self._chain(fused())
-        b = self._chain(Machine("scan", backend="blocked:3", fusion=True))
+        a = self._chain(eager())
+        b = self._chain(fused("blocked:3"))
         assert a.by_kind == b.by_kind
 
 
-class TestToggles:
-    def test_env_off(self, monkeypatch):
-        monkeypatch.setenv(FUSION_ENV_VAR, "0")
-        m = Machine("scan")
-        assert m.fusion is False
-        assert (m.vector([1]) + 1)._expr is None
-
-    def test_env_on(self, monkeypatch):
-        monkeypatch.setenv(FUSION_ENV_VAR, "1")
-        assert Machine("scan").fusion is True
-
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(FUSION_ENV_VAR, raising=False)
-        assert Machine("scan").fusion is True
-
-    def test_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(FUSION_ENV_VAR, "0")
-        assert Machine("scan", fusion=True).fusion is True
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(FUSION_ENV_VAR, "maybe")
-        with pytest.raises(ValueError, match=FUSION_ENV_VAR):
-            Machine("scan")
-
-    def test_repr_and_snapshot_surface_fusion(self):
-        m = fused()
-        assert "fusion=on" in repr(m)
-        assert m.snapshot().fusion is True
-        me = eager()
-        assert "fusion=off" in repr(me)
-        assert me.snapshot().fusion is False
-
-    def test_snapshot_delta_keeps_fusion(self):
-        m = fused()
-        with m.measure() as r:
-            (m.vector([1, 2]) + 1).data
-        assert r.delta.fusion is True
+class TestWhichEnginesDefer:
+    def test_fusion_follows_the_backend(self):
+        for backend in ("numpy", "reference", "distributed:2"):
+            m = Machine("scan", backend=backend)
+            assert m.fusion_enabled is False, backend
+            assert (m.vector([1]) + 1)._expr is None, backend
+        for backend in ("blocked", "native"):
+            m = Machine("scan", backend=backend)
+            assert m.fusion_enabled is True, backend
+            assert (m.vector([1]) + 1)._expr is not None, backend
+            m = Machine("scan", backend=backend,
+                        fault_injector=FaultInjector(FaultPlan()))
+            assert m.fusion_enabled is False, backend
 
 
 class TestForcingBoundaries:
@@ -209,7 +185,7 @@ class TestTerminalFusion:
     def test_blocked_terminal_carries_match_whole_vector(self):
         n = 1000
         data = np.full(n, np.iinfo(np.int64).max // 5)
-        m = Machine("scan", backend=BlockedBackend(chunk=17), fusion=True)
+        m = Machine("scan", backend=BlockedBackend(chunk=17))
         out = scans.plus_scan(m.vector(data) * 2 + 1)
         w = data * 2 + 1
         expected = np.concatenate(([0], np.cumsum(w)[:-1]))
@@ -217,7 +193,7 @@ class TestTerminalFusion:
 
     def test_blocked_fused_temp_bytes_chunk_bounded(self):
         chunk = 64
-        m = Machine("scan", backend=BlockedBackend(chunk=chunk), fusion=True)
+        m = Machine("scan", backend=BlockedBackend(chunk=chunk))
         events = []
         m.backend.observers.append(events.append)
         v = m.vector(np.arange(100_000))
@@ -229,13 +205,13 @@ class TestTerminalFusion:
 
 class TestFaultsAndReliability:
     def test_fault_injector_suspends_fusion(self):
-        m = Machine("scan", fusion=True,
+        m = Machine("scan", backend="blocked",
                     fault_injector=FaultInjector(FaultPlan()))
-        assert m.fusion is True and m.fusion_enabled is False
-        assert (m.vector([1]) + 1)._expr is None  # eager despite fusion=on
+        assert m.backend.fuses and m.fusion_enabled is False
+        assert (m.vector([1]) + 1)._expr is None  # eager on a lazy engine
 
     def test_checked_scans_coexist_with_fusion(self):
-        m = Machine("scan", reliability=True, fusion=True)
+        m = Machine("scan", backend="blocked", reliability=True)
         v = m.vector([1, 2, 3, 4])
         assert scans.plus_scan(v + 1).to_list() == [0, 2, 5, 9]
 

@@ -1,10 +1,11 @@
-"""Property-based eager-vs-lazy differential suite.
+"""Property-based engine-vs-eager-numpy differential suite.
 
-For arbitrary generated vectors and operator chains, running under
-``fusion=True`` must be indistinguishable from ``fusion=False`` on every
-backend: bit-identical results (dtype included) **and** bit-identical
-step charges.  This is the property the whole refactor hangs on — the
-lazy DAG is an execution strategy, never an observable.
+For arbitrary generated vectors and operator chains, every engine —
+lazy (``blocked``, ``native``) or eager (``numpy``, ``reference``,
+``distributed``) — must be indistinguishable from an eager ``numpy``
+machine: bit-identical results (dtype included) **and** bit-identical
+step charges.  This is the property fusion hangs on — the lazy DAG is an
+execution strategy, never an observable.
 """
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from repro import Machine
 from repro.core import scans
 
-BACKENDS = ("numpy", "blocked", "blocked:7", "reference")
+BACKENDS = ("numpy", "blocked", "blocked:7", "reference", "native",
+            "native:0:7")
 
 ints = st.lists(st.integers(-10**6, 10**6), max_size=120)
 small_ints = st.lists(st.integers(-100, 100), max_size=60)
@@ -26,19 +28,19 @@ DTYPES = (np.int8, np.int16, np.uint8, np.uint32, np.int64, np.float64)
 
 
 def _pair(backend, xs, dtype=None):
-    """Two fresh machines on the same backend, fused and eager, plus the
-    shared input array."""
+    """Two fresh machines, one on ``backend`` and one eager ``numpy``,
+    plus the shared input array."""
     arr = np.asarray(xs, dtype=dtype)
-    return (Machine("scan", backend=backend, fusion=True),
-            Machine("scan", backend=backend, fusion=False), arr)
+    return (Machine("scan", backend=backend),
+            Machine("scan", backend="numpy"), arr)
 
 
-def _assert_same(spec_fused, spec_eager, out_fused, out_eager):
-    assert out_fused.dtype == out_eager.dtype
-    assert np.array_equal(out_fused, out_eager)
-    assert spec_fused.steps == spec_eager.steps
-    assert spec_fused.ops == spec_eager.ops
-    assert spec_fused.by_kind == spec_eager.by_kind
+def _assert_same(snap, snap_eager, out, out_eager):
+    assert out.dtype == out_eager.dtype
+    assert np.array_equal(out, out_eager)
+    assert snap.steps == snap_eager.steps
+    assert snap.ops == snap_eager.ops
+    assert snap.by_kind == snap_eager.by_kind
 
 
 def _differential(backend, xs, chain, dtype=None):

@@ -201,7 +201,7 @@ class TestDtypeBoundaries:
 
 
 # --------------------------------------------------------------------- #
-# Machine-level integration: selection, fusion, step parity
+# Machine-level integration: selection, fused chains, step parity
 # --------------------------------------------------------------------- #
 
 class TestMachineIntegration:
@@ -223,18 +223,22 @@ class TestMachineIntegration:
             NativeBackend(block=0)
 
     def test_fused_chain_matches_eager_and_numpy(self):
+        """Both fused paths — the executor's fold, and (compiled) the
+        materialized root swept by the two-phase kernels — match an eager
+        numpy machine."""
         data = (np.arange(500, dtype=np.int64) - 250).tolist()
 
-        def run(backend, fusion):
-            m = Machine("scan", backend=backend, fusion=fusion)
+        def run(backend):
+            m = Machine("scan", backend=backend)
             v = m.vector(data)
             out = scans.plus_scan(v * v + 3)
             return out.to_list(), dict(m.counter.by_kind)
 
-        want = run("numpy", False)
-        for fusion in (False, True):
-            got = run(NativeBackend(block=64), fusion)
-            assert got == want, fusion
+        want = run("numpy")
+        for compiled in (False, True):
+            nat = NativeBackend(block=64)
+            nat.compiled = compiled
+            assert run(nat) == want, compiled
 
     def test_step_charges_match_numpy(self):
         def charges(backend):
