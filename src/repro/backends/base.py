@@ -237,8 +237,16 @@ class Backend(ABC):
     @abstractmethod
     def reduce(self, values: np.ndarray, op: str):
         """All elements combined to one scalar; ``op`` is ``"sum"``,
-        ``"max"``, ``"min"``, ``"any"`` or ``"all"``.  ``values`` is
-        non-empty (callers special-case the empty reduction's identity)."""
+        ``"max"``, ``"min"``, ``"any"`` or ``"all"``.
+
+        ``values`` may be empty, and then every engine answers as NumPy
+        does: ``sum``, ``any`` and ``all`` return their identity with
+        NumPy's result type (``np.int64(0)`` for an empty int64 sum,
+        ``np.bool_(False)`` / ``np.bool_(True)``), while ``max`` and
+        ``min`` have no identity and raise NumPy's zero-size
+        ``ValueError``.  (The :mod:`repro.core.scans` reductions return
+        the operator's identity for an empty vector without calling
+        here.)"""
 
     # ------------------------------------------------------------------ #
     # Segmented operations (Section 2.3 / 3.4)

@@ -12,18 +12,11 @@ Plans are immutable and contain no machine, charge or fault state: the
 the *logical* ops before the plan ever reaches a backend, exactly as it
 does for eager execution.
 
-Step kinds (the full elementwise vocabulary of
-:class:`~repro.core.vector.Vector`):
-
-* ``"ufunc"`` — ``fn`` is a NumPy ufunc applied to the operands; the
-  recorded ``dtype`` is NumPy's own result dtype (probed on zero-length
-  slices at build time), so a backend can allocate the plan's output
-  before evaluating any step;
-* ``"where"`` — the three-operand select ``np.where(flags, a, b)``;
-* ``"cast"`` — ``operand.astype(dtype)`` (unsafe casting, NumPy's
-  ``astype`` default);
-* ``"custom"`` — an opaque elementwise callable (e.g. ``Vector.bit``'s
-  shift-and-mask); backends evaluate it as-is and fuse around it.
+Every step is a plain elementwise callable ``fn`` (a NumPy ufunc,
+``np.where``, a cast, or any composition with no cross-element data
+flow), its operand references ``args``, and its result ``dtype`` —
+NumPy's own, probed on zero-length slices at build time — so a backend
+can allocate the plan's output before evaluating any step.
 
 Operand references are tagged tuples: ``("in", i)`` names
 ``plan.inputs[i]``, ``("step", j)`` the output of step ``j``, and
@@ -36,35 +29,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["FusedPlan", "PlanStep", "STEP_KINDS"]
-
-#: the recognized step kinds (validated by the plan constructor)
-STEP_KINDS = ("ufunc", "where", "cast", "custom")
+__all__ = ["FusedPlan", "PlanStep"]
 
 
 @dataclass(frozen=True)
 class PlanStep:
     """One elementwise operation of a fused plan (see module docstring)."""
 
-    kind: str
-    fn: Optional[Callable]       #: ufunc / opaque callable (None for cast)
+    fn: Callable                 #: the elementwise callable
     dtype: np.dtype              #: the step's result dtype
     args: tuple                  #: ("in", i) | ("step", j) | ("const", x)
-
-    def __post_init__(self) -> None:
-        if self.kind not in STEP_KINDS:
-            raise ValueError(f"unknown plan step kind {self.kind!r}; "
-                             f"expected one of {STEP_KINDS}")
-
-    def as_callable(self) -> Callable:
-        """The step as a plain elementwise callable, as
-        :meth:`FusedPlan.rows` evaluates it."""
-        if self.kind == "cast":
-            dt = self.dtype
-            return lambda a: a.astype(dt)
-        if self.kind == "where":
-            return np.where
-        return self.fn
 
 
 @dataclass(frozen=True)
@@ -125,11 +99,10 @@ class FusedPlan:
             args = [self.inputs[payload][s:e] if tag == "in"
                     else self.resolve((tag, payload), env)
                     for tag, payload in step.args]
-            env.append(step.as_callable()(*args))
+            env.append(step.fn(*args))
         return env[-1]
 
     def describe(self) -> str:  # pragma: no cover - cosmetic
-        ops = [s.fn.__name__ if s.kind == "ufunc" else s.kind
-               for s in self.steps]
+        ops = [s.fn.__name__ for s in self.steps]
         tail = f" -> {self.terminal}" if self.terminal else ""
         return f"FusedPlan(n={self.n}, {' -> '.join(ops)}{tail})"

@@ -1,13 +1,15 @@
 """The lazy expression DAG behind :class:`~repro.core.vector.Vector`.
 
 On a machine whose backend ``fuses`` (the block-wise ``blocked`` and
-``native`` engines; see :attr:`repro.backends.Backend.fuses` and
-:attr:`repro.machine.Machine.fusion_enabled`), elementwise vector
-operations do not materialize: they build one immutable
-:class:`LazyNode` per operation — a small DAG whose leaves are already
-materialized arrays and scalar immediates — and defer computation until an
+``native`` engines; see :attr:`repro.backends.Backend.fuses`), elementwise
+vector operations do not materialize: the one elementwise seam,
+:meth:`~repro.core.vector.Vector._elementwise`, builds one immutable
+:class:`LazyNode` per operation — a small DAG whose leaves are frozen
+length-``n`` arrays and scalar immediates — and defers computation until an
 *observable boundary* forces the chain (``.data``, a scan, a permute, a
 reduction, ``repr``; see ``docs/fusion.md`` for the full forcing rules).
+A node is just a callable and its operands: the ufunc, ``np.where``, a
+cast or ``Vector.bit``'s shift-and-mask all defer the same way.
 
 Two invariants make laziness undetectable from the cost model's side:
 
@@ -41,37 +43,33 @@ __all__ = ["LazyNode", "compile_plan", "probe_dtype"]
 
 class LazyNode:
     """One deferred elementwise operation (immutable except for the
-    result cache).
-
-    ``args`` holds the operands in call order: other :class:`LazyNode`
-    instances, read-only leaf ``ndarray`` operands, or scalar immediates.
-    ``kind`` / ``fn`` follow the :class:`~repro.backends.plan.PlanStep`
-    vocabulary.
+    result cache): ``fn`` applied to ``args``, the operands in call
+    order — other :class:`LazyNode` instances, read-only leaf
+    ``ndarray`` operands, or scalar immediates.  The result ``dtype`` is
+    probed at construction (:func:`probe_dtype`).
     """
 
-    __slots__ = ("kind", "fn", "args", "n", "dtype", "result")
+    __slots__ = ("fn", "args", "n", "dtype", "result")
 
-    def __init__(self, kind: str, fn, args: tuple, n: int,
-                 dtype: np.dtype) -> None:
-        self.kind = kind
+    def __init__(self, fn, args: tuple, n: int) -> None:
         self.fn = fn
         self.args = args
         self.n = n
-        self.dtype = dtype
+        self.dtype = probe_dtype(fn, args)
         #: the materialized result once any plan containing this node as
         #: root has executed (None while pending)
         self.result: Optional[np.ndarray] = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        op = self.fn.__name__ if self.kind == "ufunc" else self.kind
         state = "cached" if self.result is not None else "pending"
-        return f"LazyNode({op}, n={self.n}, dtype={self.dtype}, {state})"
+        return (f"LazyNode({self.fn.__name__}, n={self.n}, "
+                f"dtype={self.dtype}, {state})")
 
 
-def probe_dtype(kind: str, fn, args: tuple) -> np.dtype:
+def probe_dtype(fn, args: tuple) -> np.dtype:
     """The operation's result dtype, decided by NumPy itself.
 
-    Evaluates the op on zero-length slices of its array/node operands
+    Evaluates ``fn`` on zero-length slices of its array/node operands
     (scalars stay scalars, so NEP-50 promotion applies exactly as it will
     at execution time).  Value-dependent failures — a Python int that
     does not fit any common dtype, a bad ``where`` operand — surface here,
@@ -85,8 +83,6 @@ def probe_dtype(kind: str, fn, args: tuple) -> np.dtype:
             probe.append(a[:0])
         else:
             probe.append(a)
-    if kind == "where":
-        return np.where(*probe).dtype
     return fn(*probe).dtype
 
 
@@ -133,8 +129,7 @@ def compile_plan(root: LazyNode, *, terminal: Optional[str] = None,
         if expanded:
             refs = tuple(ref_of(a) for a in node.args)
             step_index[id(node)] = len(steps)
-            steps.append(PlanStep(kind=node.kind, fn=node.fn,
-                                  dtype=node.dtype, args=refs))
+            steps.append(PlanStep(fn=node.fn, dtype=node.dtype, args=refs))
             continue
         stack.append((node, True))
         for a in node.args:

@@ -66,7 +66,7 @@ def from_edges(machine: Machine, n_vertices: int, edges, weights=None) -> Segmen
     # unique indices).
     n_slots = 2 * mcount
     new_home = machine.arange(n_slots).permute(rank)
-    partner_of_rank = rank._binary(1, np.bitwise_xor)  # original partner slot
+    partner_of_rank = rank ^ 1  # original partner slot
     cross = new_home.gather(partner_of_rank)
 
     # segment flags: a slot starts a segment where its vertex differs from
