@@ -109,7 +109,7 @@ def test_memory_blocked_wins():
     ):
         v = machine.vector(data)
         tracemalloc.start()
-        out = v._unary(fn)
+        out = v._elementwise(fn, v)
         _, peaks[name] = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert len(out) == n

@@ -545,14 +545,14 @@ class TestBlockedCarries:
         m_bl = Machine("scan", backend=BlockedBackend(chunk=chunk))
         v = m_bl.vector(data)
         tracemalloc.start()
-        v._unary(fn).data  # .data forces the (possibly lazy) computation
+        v._elementwise(fn, v).data  # .data forces the (possibly lazy) computation
         _, peak_blocked = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
         m_np = Machine("scan")
         v = m_np.vector(data)
         tracemalloc.start()
-        v._unary(fn).data
+        v._elementwise(fn, v).data
         _, peak_numpy = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
