@@ -1,27 +1,32 @@
 """Pluggable execution backends for the machine's vector primitives.
 
 The cost model (:mod:`repro.machine`) decides what a primitive *charges*;
-a :class:`Backend` decides how it *computes*.  Four are shipped:
+a :class:`Backend` decides how it *computes*.  Five are shipped:
 
 * :class:`NumPyBackend` (``"numpy"``, the default) — one vectorized NumPy
   expression per primitive, behavior- and step-identical to the
   pre-backend code;
 * :class:`BlockedBackend` (``"blocked"`` / ``"blocked:<chunk>"``) —
-  fixed-size chunks with carry propagation across chunk boundaries, the
-  paper's Figure 10 long-vector schedule executed for real;
+  NumPy plus the carry table's fold: the five carry-bearing primitives
+  and fused elementwise chains run over fixed-size chunks with carry
+  propagation across chunk boundaries (the paper's Figure 10 long-vector
+  schedule executed for real, with chunk-bounded temporaries); every
+  other primitive is NumPy's;
 * :class:`DistributedBackend` (``"distributed"`` /
   ``"distributed:<workers>[:<min_n>]"``) — shards across supervised OS
   worker processes with shared memory, a round-efficient carry exchange,
   and fault-tolerant retry/degradation (see :mod:`repro.cluster`);
 * :class:`NativeBackend` (``"native"`` / ``"native:<threads>[:<block>]"``)
-  — two-phase Blelloch upsweep/downsweep over fixed-size blocks, compiled
-  with Numba when available and falling back to a pure-NumPy block
-  schedule otherwise (see :mod:`repro.backends.native`);
+  — the blocked backend plus a two-phase Blelloch upsweep/downsweep over
+  the same blocks, compiled with Numba when available; without Numba it
+  is the blocked backend (see :mod:`repro.backends.native`);
 * :class:`ReferenceBackend` (``"reference"``) — pure-Python per-element
   loops, the differential-testing oracle.
 
 Selection: ``Machine(..., backend="blocked")`` takes a registry name, a
-``"name:<args>"`` spec (each backend documents its own ``spec_syntax``),
+``"name:<args>"`` spec (colon-separated integers, parsed once by
+:meth:`Backend.from_spec` into the constructor keywords a backend's
+``spec_args`` names; each backend documents its own ``spec_syntax``),
 or a :class:`Backend` instance; when omitted, the ``REPRO_BACKEND``
 environment variable is honored (same syntax) before falling back to
 ``"numpy"``.
@@ -84,8 +89,8 @@ def backend_specs() -> list[str]:
 def get_backend(spec: str) -> Backend:
     """Instantiate a backend from a spec string.
 
-    A spec is a registry name, optionally followed by ``:<arguments>``
-    the backend itself parses (:meth:`Backend.from_spec`) — e.g.
+    A spec is a registry name, optionally followed by ``:<arguments>``,
+    the integers :meth:`Backend.from_spec` passes to its constructor — e.g.
     ``"blocked:4096"`` or ``"distributed:8:100000"``.
     """
     name, _, arg = spec.partition(":")

@@ -80,15 +80,40 @@ class Backend(ABC):
     #: block-sized, while whole-vector engines gain nothing by deferring.
     fuses: ClassVar[bool] = False
 
+    #: constructor keywords the spec's colon-separated integer arguments
+    #: fill, in order (``blocked:4096`` is ``chunk=4096``); empty means the
+    #: bare name is the whole spec
+    spec_args: ClassVar[tuple] = ()
+
     @classmethod
     def from_spec(cls, arg: str) -> "Backend":
         """Build an instance from the spec's argument part (the text after
-        ``name:``).  The base implementation accepts no argument; backends
-        with parameters (blocked chunk size, distributed worker count)
-        override this to parse theirs."""
-        if arg:
+        ``name:``): colon-separated integers, passed to the constructor as
+        the keywords :attr:`spec_args` names.  Constructor range errors are
+        re-anchored to the spec string."""
+        if not arg:
+            return cls()
+        if not cls.spec_args:
             raise ValueError(f"backend {cls.name!r} takes no {arg!r} argument")
-        return cls()
+        parts = arg.split(":")
+        if len(parts) > len(cls.spec_args):
+            most = ("one argument", "two arguments")[len(cls.spec_args) - 1]
+            raise ValueError(
+                f"backend {cls.name!r} takes at most {most} "
+                f"({cls.spec_syntax}), got {arg!r}")
+        try:
+            kwargs = {key: int(part)
+                      for key, part in zip(cls.spec_args, parts)}
+        except ValueError:
+            raise ValueError(
+                f"backend {cls.name!r} arguments must be integers "
+                f"({cls.spec_syntax}), got {arg!r}") from None
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(
+                f"backend {cls.name!r} spec {arg!r} is invalid: {exc} "
+                f"({cls.spec_syntax})") from None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

@@ -3,22 +3,19 @@
 The paper simulates a long vector on ``p`` physical processors by giving
 each processor a contiguous block and sweeping: serial scan within each
 block, one cross-block scan of the partial results, then add the block
-offset back in.  :class:`BlockedBackend` executes that schedule literally —
-every primitive walks the vector in fixed-size chunks, carrying the running
-sum / running extreme / open-segment state across chunk boundaries — so a
-vector is never *operated on* whole.  Temporaries are bounded by the chunk
-size, which is what makes out-of-core vector lengths (and future sharding
-across workers) possible; output buffers are still materialized in full,
-as they are the operation's result.
+offset back in.  :class:`BlockedBackend` executes that schedule literally
+for the five carry-bearing primitives (the scans, their segmented forms
+and ``reduce``): one hook, :meth:`BlockedBackend.scan_into`, runs the
+carry table's sequential schedule (:func:`repro.backends.carry.fold`) —
+``local`` scans each chunk into its slice of the output, ``apply`` folds
+in the carry so far, ``combine`` extends it — so their temporaries are
+bounded by the chunk size.  Output buffers are still materialized in
+full, as they are the operation's result.
 
-The five carry-bearing primitives (the scans, their segmented forms and
-``reduce``) are the carry table's sequential schedule
-(:func:`repro.backends.carry.fold`): ``local`` scans each chunk into its
-slice of the output, ``apply`` folds in the carry so far, ``combine``
-extends it.  For integer and boolean vectors every result is therefore
-bit-identical to :class:`~repro.backends.NumPyBackend` (integer addition
-is associative modulo 2^64, max/min are exactly associative).  Float
-``+``-scans may round differently from the whole-vector ``np.cumsum``,
+For integer and boolean vectors every result is therefore bit-identical
+to :class:`~repro.backends.NumPyBackend` (integer addition is associative
+modulo 2^64, max/min are exactly associative).  Float ``+``-scans and
+sums may round differently from the whole-vector NumPy expression,
 exactly as a real blocked machine would.
 
 Elementwise chains defer on this engine (``fuses``): a chain ending in a
@@ -26,20 +23,16 @@ scan is evaluated chunk by chunk straight into that scan's fold
 (:func:`repro.backends.carry.run_plan`), so no chain intermediate is ever
 longer than a chunk.
 
-Two table-driven segmented operations (``seg_back_copy``,
-``seg_distribute``) need per-segment lookahead, so they build an
-``O(#segments)`` table of per-segment results and then spread it in
-chunks; value temporaries stay chunk-bounded.
+Every other primitive — communication, broadcast, the table-driven
+segmented ops — is inherited from :class:`NumPyBackend` unchanged: their
+output is full-length anyway, so walking it in chunks bounds nothing.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator
-
 import numpy as np
 
-from .base import Backend
-from .carry import (MaxScan, PlusScan, Reduce, SegExtreme, SegPlus, blocks,
-                    fold, run_plan)
+from .carry import (PRIMITIVES, CarryOp, MaxScan, PlusScan, Reduce,
+                    SegExtreme, SegPlus, blocks, fold, run_plan)
 from .numpy_backend import NumPyBackend
 
 __all__ = ["BlockedBackend"]
@@ -48,189 +41,57 @@ __all__ = ["BlockedBackend"]
 DEFAULT_CHUNK = 65536
 
 
-class BlockedBackend(Backend):
-    """Fixed-size-chunk execution with carry propagation across chunks."""
+class BlockedBackend(NumPyBackend):
+    """Fixed-size-chunk carry scans; everything else rides NumPy."""
 
     name = "blocked"
     spec_syntax = "blocked[:<chunk>]"
+    spec_args = ("chunk",)
     fuses = True
-
-    @classmethod
-    def from_spec(cls, arg: str) -> "BlockedBackend":
-        if not arg:
-            return cls()
-        try:
-            chunk = int(arg)
-        except ValueError:
-            raise ValueError(
-                f"backend 'blocked' takes an integer chunk size "
-                f"({cls.spec_syntax}), got {arg!r}") from None
-        return cls(chunk=chunk)
 
     def __init__(self, chunk: int = DEFAULT_CHUNK) -> None:
         if chunk < 1:
-            raise ValueError(f"chunk size must be >= 1, got {chunk}")
+            raise ValueError(f"chunk (block size) must be >= 1, got {chunk}")
         self.chunk = int(chunk)
         self._fused_temp = 0
-        # per-segment table operations reuse the whole-vector expressions
-        # on one chunk at a time
-        self._np = NumPyBackend()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BlockedBackend(chunk={self.chunk})"
 
     def temp_bytes(self, op: str, out_bytes: int) -> int:
-        """Chunk-bounded temporaries: working storage never exceeds one
-        chunk of the widest lane (8-byte words), regardless of vector
-        length — the figure a profiler should see drop when switching a
-        long-vector run from ``numpy`` to ``blocked``.  Fused pipelines
-        report their chain's chunk-bounded footprint."""
+        """Chunk-bounded temporaries for the carry primitives: working
+        storage never exceeds one chunk of the widest lane (8-byte words),
+        three for the rank-encoding segmented extreme, regardless of
+        vector length — the figure a profiler should see drop when
+        switching a long-vector run from ``numpy`` to ``blocked``.  Fused
+        pipelines report their chain's chunk-bounded footprint; every
+        other op is NumPy's, and so is its estimate."""
         if op == "fused_pipeline":
             return self._fused_temp
-        return min(out_bytes, self.chunk * 8)
+        if op not in PRIMITIVES:
+            return super().temp_bytes(op, out_bytes)
+        per_chunk = min(out_bytes, self.chunk * 8)
+        return 3 * per_chunk if op == "seg_extreme_scan" else per_chunk
 
-    def _spans(self, n: int) -> Iterator[tuple[int, int]]:
-        return blocks(n, self.chunk)
+    # ------------------------ the block schedule ----------------------- #
 
-    def _scan(self, op, values: np.ndarray, flags=None) -> np.ndarray:
+    def scan_into(self, op: CarryOp, values: np.ndarray, flags, out):
+        """Scan ``values`` into ``out`` with carry op ``op`` (``out`` is
+        ``None`` for a reduction), one chunk at a time; returns the total
+        carry."""
+        return fold(op, blocks(len(values), self.chunk),
+                    lambda s, e: values[s:e], flags, out)
+
+    def _scan(self, op: CarryOp, values: np.ndarray, flags=None):
         out = np.empty_like(values)
-        fold(op, self._spans(len(values)), lambda s, e: values[s:e], flags,
-             out)
+        self.scan_into(op, values, flags, out)
         return out
-
-    # ------------------------ fused pipelines -------------------------- #
-
-    def fused_pipeline(self, plan) -> np.ndarray:
-        """Run the chain chunk by chunk through the shared block executor
-        (:func:`repro.backends.carry.run_plan`): a fused
-        ``plus_scan(a*b + c)`` makes one pass over each chunk with only
-        chunk-sized temporaries."""
-        self._fused_temp = plan.block_temp_bytes(self.chunk)
-        return run_plan(plan, self._spans(plan.n))
-
-    # -------------------------- elementwise --------------------------- #
-
-    def elementwise(self, fn: Callable, *operands) -> np.ndarray:
-        n = None
-        for op in operands:
-            if isinstance(op, np.ndarray) and op.ndim == 1:
-                n = len(op)
-                break
-        if n is None or n <= self.chunk:
-            return fn(*operands)
-        pieces = []
-        for s, e in self._spans(n):
-            sliced = [op[s:e] if isinstance(op, np.ndarray) and op.ndim == 1
-                      else op for op in operands]
-            pieces.append(fn(*sliced))
-        return np.concatenate(pieces)
-
-    def adjacent_ne(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty(len(values), dtype=bool)
-        prev = None
-        for s, e in self._spans(len(values)):
-            seg = values[s:e]
-            out[s] = True if prev is None else bool(seg[0] != prev)
-            out[s + 1:e] = seg[1:] != seg[:-1]
-            prev = seg[-1]
-        return out
-
-    # ----------------------------- scans ------------------------------ #
 
     def plus_scan(self, values: np.ndarray) -> np.ndarray:
         return self._scan(PlusScan(values.dtype), values)
 
     def max_scan(self, values: np.ndarray, identity) -> np.ndarray:
         return self._scan(MaxScan(values.dtype, identity), values)
-
-    # ------------------------- communication -------------------------- #
-
-    def permute(self, values: np.ndarray, index: np.ndarray, length: int,
-                default) -> np.ndarray:
-        out = np.full(length, default, dtype=values.dtype)
-        for s, e in self._spans(len(values)):
-            out[index[s:e]] = values[s:e]
-        return out
-
-    def gather(self, values: np.ndarray, index: np.ndarray) -> np.ndarray:
-        out = np.empty(len(index), dtype=values.dtype)
-        for s, e in self._spans(len(index)):
-            out[s:e] = values[index[s:e]]
-        return out
-
-    def combine_write(self, values: np.ndarray, index: np.ndarray,
-                      length: int, op: str, default) -> np.ndarray:
-        if op == "min" or op == "max":
-            if np.issubdtype(values.dtype, np.integer):
-                info = np.iinfo(values.dtype)
-                sentinel = info.max if op == "min" else info.min
-            else:
-                sentinel = np.inf if op == "min" else -np.inf
-            ufunc = np.minimum if op == "min" else np.maximum
-            touched = np.zeros(length, dtype=bool)
-            tmp = np.full(length, sentinel, dtype=values.dtype)
-            for s, e in self._spans(len(values)):
-                touched[index[s:e]] = True
-                ufunc.at(tmp, index[s:e], values[s:e])
-            return np.where(touched, tmp,
-                            np.asarray(default, dtype=values.dtype))
-        if op == "sum":
-            tmp = np.zeros(length, dtype=values.dtype)
-            for s, e in self._spans(len(values)):
-                np.add.at(tmp, index[s:e], values[s:e])
-            return tmp
-        if op == "any":
-            out = np.full(length, default, dtype=values.dtype)
-            for s, e in self._spans(len(values)):
-                out[index[s:e]] = values[s:e]
-            return out
-        raise ValueError(f"unknown combine op {op!r}")
-
-    def pack(self, values: np.ndarray, flags: np.ndarray,
-             index: np.ndarray, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=values.dtype)
-        for s, e in self._spans(len(values)):
-            sel = flags[s:e]
-            out[index[s:e][sel]] = values[s:e][sel]
-        return out
-
-    def shift(self, values: np.ndarray, k: int, fill) -> np.ndarray:
-        n = len(values)
-        out = np.full(n, fill, dtype=values.dtype)
-        # copy the surviving range chunk by chunk (one fixed-offset send)
-        if k >= 0:
-            lo, span = k, n - k
-        else:
-            lo, span = 0, n + k
-        for s, e in self._spans(max(span, 0)):
-            out[lo + s:lo + e] = values[s - min(k, 0):e - min(k, 0)] \
-                if k < 0 else values[s:e]
-        return out
-
-    def reverse(self, values: np.ndarray) -> np.ndarray:
-        return values[::-1]
-
-    # ------------------------ broadcast / reduce ----------------------- #
-
-    def full(self, length: int, value, dtype) -> np.ndarray:
-        return np.full(length, value, dtype=dtype)
-
-    def reduce(self, values: np.ndarray, op: str):
-        total = fold(Reduce(values.dtype, reduce_op=op),
-                     self._spans(len(values)), lambda s, e: values[s:e])
-        # max/min of nothing has no identity: raise numpy's own error
-        return self._np.reduce(values, op) if total is None else total
-
-    # ---------------------------- segmented ---------------------------- #
-
-    def segment_ids(self, seg_flags: np.ndarray) -> np.ndarray:
-        out = np.empty(len(seg_flags), dtype=np.int64)
-        carry = 0
-        for s, e in self._spans(len(seg_flags)):
-            np.cumsum(seg_flags[s:e], out=out[s:e])
-            out[s:e] += carry - 1
-            carry = int(out[e - 1]) + 1
-        return out
 
     def seg_plus_scan(self, values: np.ndarray,
                       seg_flags: np.ndarray) -> np.ndarray:
@@ -241,83 +102,16 @@ class BlockedBackend(Backend):
         return self._scan(SegExtreme(values.dtype, identity, is_max=is_max),
                           values, seg_flags)
 
-    def seg_copy(self, values: np.ndarray,
-                 seg_flags: np.ndarray) -> np.ndarray:
-        if len(values) == 0:
-            return values.copy()
-        out = np.empty_like(values)
-        carry = values[0]  # the open segment's head value
-        for s, e in self._spans(len(values)):
-            seg, sfc = values[s:e], seg_flags[s:e]
-            heads = np.flatnonzero(sfc)
-            local = np.cumsum(sfc) - 1  # -1 on the continuing run
-            table = np.concatenate(([carry], seg[heads]))
-            out[s:e] = table[local + 1]
-            if len(heads):
-                carry = seg[heads[-1]]
-        return out
+    def reduce(self, values: np.ndarray, op: str):
+        total = self.scan_into(Reduce(values.dtype, reduce_op=op), values,
+                               None, None)
+        # max/min of nothing has no identity: raise numpy's own error
+        return super().reduce(values, op) if total is None else total
 
-    def seg_back_copy(self, values: np.ndarray,
-                      seg_flags: np.ndarray) -> np.ndarray:
-        if len(values) == 0:
-            return values.copy()
-        tails = self._segment_tails(values, seg_flags)
-        return self._spread(tails, seg_flags)
-
-    def seg_distribute(self, values: np.ndarray, seg_flags: np.ndarray,
-                       op: str) -> np.ndarray:
-        if len(values) == 0:
-            return values.copy()
-        parts: list[np.ndarray] = []
-        carry = None  # running reduction of the open segment
-        red = {"sum": "sum", "max": "max", "min": "min",
-               "or": "any", "and": "all"}[op]
-        for s, e in self._spans(len(values)):
-            seg, sfc = values[s:e], seg_flags[s:e]
-            heads = np.flatnonzero(sfc)
-            bounds = np.concatenate(([0], heads, [len(seg)]))
-            for i in range(len(bounds) - 1):
-                lo, hi = bounds[i], bounds[i + 1]
-                if lo == hi:
-                    continue
-                r = self._np.reduce(seg[lo:hi], red)
-                if i == 0 and carry is not None:
-                    carry = self._np.reduce(np.array([carry, r]), red)
-                    continue
-                if carry is not None:
-                    parts.append(np.asarray(carry))
-                carry = r
-            # a chunk that is one unbroken run leaves carry accumulating
-        if carry is not None:
-            parts.append(np.asarray(carry))
-        per_segment = np.array(parts)
-        return self._spread(per_segment.astype(values.dtype, copy=False),
-                            seg_flags)
-
-    def _segment_tails(self, values: np.ndarray,
-                       seg_flags: np.ndarray) -> np.ndarray:
-        """Last value of each segment, one entry per segment."""
-        tails: list[np.ndarray] = []
-        prev_last = None
-        for s, e in self._spans(len(values)):
-            seg, sfc = values[s:e], seg_flags[s:e]
-            heads = np.flatnonzero(sfc)
-            # an element just before a head ends the previous segment
-            for h in heads:
-                tails.append(seg[h - 1] if h > 0 else prev_last)
-            prev_last = seg[-1]
-        tails.append(prev_last)  # the final segment ends at the vector end
-        # the first flag is always a head: drop its phantom predecessor
-        return np.array(tails[1:], dtype=values.dtype)
-
-    def _spread(self, per_segment: np.ndarray,
-                seg_flags: np.ndarray) -> np.ndarray:
-        """``out[i] = per_segment[segment_of(i)]``, chunk by chunk."""
-        out = np.empty(len(seg_flags), dtype=per_segment.dtype)
-        carry = 0
-        for s, e in self._spans(len(seg_flags)):
-            sfc = seg_flags[s:e]
-            ids = np.cumsum(sfc) + (carry - 1)
-            out[s:e] = per_segment[ids]
-            carry = int(ids[-1]) + 1
-        return out
+    def fused_pipeline(self, plan) -> np.ndarray:
+        """Run the chain chunk by chunk through the shared block executor
+        (:func:`repro.backends.carry.run_plan`): a fused
+        ``plus_scan(a*b + c)`` makes one pass over each chunk with only
+        chunk-sized temporaries."""
+        self._fused_temp = plan.block_temp_bytes(self.chunk)
+        return run_plan(plan, blocks(plan.n, self.chunk))

@@ -46,9 +46,9 @@ import numpy as np
 
 from .numpy_backend import _REDUCERS, _exclusive_cumsum, _seg_running_extreme
 
-__all__ = ["CarryOp", "MaxScan", "PlusScan", "Reduce", "SegExtreme",
-           "SegPlus", "TABLE", "blocks", "carry_op", "exclusive", "fold",
-           "run_plan"]
+__all__ = ["CarryOp", "MaxScan", "PRIMITIVES", "PlusScan", "Reduce",
+           "SegExtreme", "SegPlus", "TABLE", "blocks", "carry_op",
+           "exclusive", "fold", "run_plan"]
 
 
 def _add(a, b, dtype):
@@ -263,6 +263,10 @@ class Reduce(CarryOp):
 #: the carry table, by primitive name
 TABLE = {op.name: op for op in (PlusScan, MaxScan, SegPlus, SegExtreme,
                                 Reduce)}
+
+#: the :class:`~repro.backends.Backend` methods the table serves
+PRIMITIVES = frozenset(("plus_scan", "max_scan", "seg_plus_scan",
+                        "seg_extreme_scan", "reduce"))
 
 
 def carry_op(name: str, dtype, identity=None, *, is_max: bool = False,

@@ -43,6 +43,7 @@ import numpy as np
 from ..cluster.chaos import ChaosPlan
 from ..cluster.ledger import ClusterLedger
 from ..cluster.pool import RetryPolicy, WorkerPool, shared_pool
+from .carry import PRIMITIVES
 from .numpy_backend import NumPyBackend
 
 __all__ = ["DistributedBackend", "DEFAULT_WORKERS", "DEFAULT_MIN_DISTRIBUTE"]
@@ -59,6 +60,7 @@ class DistributedBackend(NumPyBackend):
 
     name = "distributed"
     spec_syntax = "distributed[:<workers>[:<min_n>]]"
+    spec_args = ("workers", "min_distribute")
 
     def __init__(self, workers: int = DEFAULT_WORKERS,
                  min_distribute: int = DEFAULT_MIN_DISTRIBUTE,
@@ -78,30 +80,6 @@ class DistributedBackend(NumPyBackend):
         # otherwise the process-wide shared pool for this worker count
         self._pool = pool
         self._private = pool is not None or policy is not None or chaos is not None
-
-    @classmethod
-    def from_spec(cls, arg: str) -> "DistributedBackend":
-        if not arg:
-            return cls()
-        parts = arg.split(":")
-        if len(parts) > 2:
-            raise ValueError(
-                f"backend 'distributed' takes at most two arguments "
-                f"({cls.spec_syntax}), got {arg!r}")
-        try:
-            workers = int(parts[0])
-            min_n = int(parts[1]) if len(parts) == 2 else DEFAULT_MIN_DISTRIBUTE
-        except ValueError:
-            raise ValueError(
-                f"backend 'distributed' arguments must be integers "
-                f"({cls.spec_syntax}), got {arg!r}") from None
-        try:
-            return cls(workers=workers, min_distribute=min_n)
-        except ValueError as exc:
-            # constructor range errors, re-anchored to the spec string
-            raise ValueError(
-                f"backend 'distributed' spec {arg!r} is invalid: {exc} "
-                f"({cls.spec_syntax})") from None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DistributedBackend(workers={self.workers}, "
@@ -129,8 +107,7 @@ class DistributedBackend(NumPyBackend):
         """Distribution triples the footprint of carry-bearing ops: the
         operands and result live a second time in shared memory, plus the
         host-side result copy."""
-        if op in ("plus_scan", "max_scan", "seg_plus_scan",
-                  "seg_extreme_scan", "reduce"):
+        if op in PRIMITIVES:
             return 3 * out_bytes
         return super().temp_bytes(op, out_bytes)
 

@@ -17,18 +17,21 @@ the classic block decomposition — the same schedule GPU scan kernels
 
 Both sweeps are written once, as plain-Python kernels over preallocated
 buffers (``_*_py`` below), and compiled with Numba's
-``@njit(parallel=True, cache=True)`` when Numba is importable.  Without
-Numba the backend runs the carry table's sequential schedule
-(:func:`repro.backends.carry.fold`) over the same blocks — the blocked
-backend's code path, NumPy expressions per block — instead of refusing to
-load.  The kernel arithmetic stays testable there: a backend whose
-``compiled`` is set to ``True`` runs the ``_K_*`` kernels, which are then
-the plain-Python sources.
+``@njit(parallel=True, cache=True)`` when Numba is importable.
+:class:`NativeBackend` is :class:`~repro.backends.BlockedBackend` plus
+those kernels: they replace its :meth:`~BlockedBackend.scan_into` hook
+for the four scans, and everything the kernels do not cover — reductions,
+boolean lanes, vectors shorter than two, and every scan when Numba is
+absent — falls through to the blocked backend's sequential carry fold
+(:func:`repro.backends.carry.fold`) over the same blocks.  Without Numba,
+``native`` therefore *is* ``blocked``.  The kernel arithmetic stays
+testable there: a backend whose ``compiled`` is set to ``True`` runs the
+``_K_*`` kernels, which are then the plain-Python sources.
 
 Conformance: integer and boolean results are bit-identical to every
 other backend (modular addition and max/min are associative); float
-``+``-scans may re-associate across blocks exactly as the blocked and
-distributed engines' carries do (the verifier's documented additive
+``+``-scans and sums may re-associate across blocks exactly as the
+blocked and distributed engines' carries do (the verifier's documented additive
 tolerance); ``max``-family scans are exact because ``np.maximum`` and the
 kernels' ``v > acc or v != v`` comparison both implement the same
 NaN-absorbing total order.  The segmented *min* kernels order NaN as a
@@ -36,14 +39,16 @@ largest value (``np.fmin`` semantics) — the same documented rank-encoding
 convention as the numpy engine, see ``docs/verification.md``.
 
 Everything else — communication, broadcast, the table-driven segmented
-ops — inherits :class:`NumPyBackend` unchanged: the paper's argument is
-about the scans, and that is where the parallel schedule pays.
-Elementwise chains defer on this engine (``fuses``) and run block by
-block through the executor it shares with the blocked backend
-(:func:`repro.backends.carry.run_plan`).
+ops — is NumPy's, inherited through the blocked backend: the paper's
+argument is about the scans, and that is where the parallel schedule
+pays.  Elementwise chains defer on this engine (``fuses``) and run block
+by block through the blocked backend's executor
+(:func:`repro.backends.carry.run_plan`); compiled, a chain ending in a
+scan is materialized that way and then swept by the kernels.
 
 Selection: ``Machine(backend="native")``, ``native:<threads>``,
-``native:<threads>:<block>`` (``threads=0`` means Numba's default), or
+``native:<threads>:<block>`` (``threads=0`` means Numba's default; the
+default block is the blocked backend's chunk), or
 ``REPRO_BACKEND=native``.  Observability: ``backend.native.ops`` counts
 primitives like every backend; ``native.kernel_launches`` counts compiled
 two-phase executions, ``native.fallback_ops`` the sequential-fold ones,
@@ -55,9 +60,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .carry import (CarryOp, MaxScan, PlusScan, SegExtreme, SegPlus,
-                    blocks, exclusive, fold, run_plan)
-from .numpy_backend import NumPyBackend
+from .blocked import DEFAULT_CHUNK, BlockedBackend
+from .carry import CarryOp, exclusive
 
 __all__ = ["NativeBackend", "HAVE_NUMBA"]
 
@@ -79,15 +83,6 @@ except ImportError:
         def wrap(fn):
             return fn
         return wrap
-
-#: default elements per block (a few hundred KB of int64 per temporary,
-#: matching the blocked backend's chunk)
-DEFAULT_BLOCK = 65536
-
-
-def _nblocks(n: int, block: int) -> int:
-    return (n + block - 1) // block
-
 
 # --------------------------------------------------------------------- #
 # Kernels.  One definition each, written in the subset of Python that
@@ -234,41 +229,19 @@ _K_SEG_EXT_UP = _njit(**_JIT)(_seg_ext_upsweep_py)
 _K_SEG_EXT_DOWN = _njit(**_JIT)(_seg_ext_downsweep_py)
 
 
-class NativeBackend(NumPyBackend):
-    """Two-phase block-parallel scans; everything else rides NumPy."""
+class NativeBackend(BlockedBackend):
+    """The blocked backend with the carry scans swept by two-phase
+    kernels when compiled."""
 
     name = "native"
     spec_syntax = "native[:<threads>[:<block>]]"
-    fuses = True
+    spec_args = ("threads", "block")
 
-    @classmethod
-    def from_spec(cls, arg: str) -> "NativeBackend":
-        if not arg:
-            return cls()
-        parts = arg.split(":")
-        if len(parts) > 2:
-            raise ValueError(
-                f"backend 'native' takes at most two arguments "
-                f"({cls.spec_syntax}), got {arg!r}")
-        try:
-            numbers = [int(p) for p in parts]
-        except ValueError:
-            raise ValueError(
-                f"backend 'native' takes integer arguments "
-                f"({cls.spec_syntax}), got {arg!r}") from None
-        kwargs = {"threads": numbers[0]}
-        if len(numbers) == 2:
-            kwargs["block"] = numbers[1]
-        return cls(**kwargs)
-
-    def __init__(self, threads: int = 0, block: int = DEFAULT_BLOCK) -> None:
+    def __init__(self, threads: int = 0, block: int = DEFAULT_CHUNK) -> None:
         if threads < 0:
             raise ValueError(f"threads must be >= 0 (0 = auto), got {threads}")
-        if block < 1:
-            raise ValueError(f"block size must be >= 1, got {block}")
+        super().__init__(chunk=block)
         self.threads = int(threads)
-        self.block = int(block)
-        self._fused_temp = 0
         #: whether the two-phase kernels run (vs the sequential fold)
         self.compiled = HAVE_NUMBA
         if self.compiled and self.threads:
@@ -287,42 +260,23 @@ class NativeBackend(NumPyBackend):
         return (f"NativeBackend(threads={self.threads}, block={self.block}, "
                 f"mode={mode})")
 
-    # ------------------------------------------------------------------ #
-    # Plumbing
-    # ------------------------------------------------------------------ #
-
-    def _engaged(self, values: np.ndarray) -> bool:
-        """Whether the block schedule runs (vs inheriting NumPy).
-
-        Booleans delegate: NumPy's accumulate semantics on bool lanes are
-        the contract, and the machine widens bools before ``plus_scan``
-        anyway.  Length < 2 is a base case with nothing to sweep.
-        """
-        return len(values) >= 2 and values.dtype.kind != "b"
-
-    def temp_bytes(self, op: str, out_bytes: int) -> int:
-        """Block-schedule working storage: the per-block partials (one word
-        per block) plus block-bounded temporaries — on the fold path the
-        rank-encoding segmented extreme holds about three of them."""
-        if op == "fused_pipeline":
-            return self._fused_temp
-        per_block = min(out_bytes, self.block * 8)
-        partials = 2 * max(1, out_bytes // max(1, self.block * 8)) * 8
-        if op == "seg_extreme_scan" and not self.compiled:
-            per_block *= 3
-        return per_block + partials
+    @property
+    def block(self) -> int:
+        """Elements per block (the blocked backend's ``chunk``)."""
+        return self.chunk
 
     def scan_into(self, op: CarryOp, values: np.ndarray, flags, out):
-        """Scan ``values`` into ``out`` with carry op ``op``; returns the
-        total carry.  Two-phase kernels when compiled, else the table's
-        sequential fold over this backend's blocks."""
-        if not self.compiled:
+        """The two-phase kernels when compiled.  Reductions, booleans
+        (NumPy's accumulate semantics on bool lanes are the contract) and
+        vectors shorter than two (nothing to sweep) take the inherited
+        sequential fold, as does everything when not compiled."""
+        if (not self.compiled or op.name == "reduce" or len(values) < 2
+                or values.dtype.kind == "b"):
             self._fallbacks.inc()
-            return fold(op, blocks(len(values), self.block),
-                        lambda s, e: values[s:e], flags, out)
+            return super().scan_into(op, values, flags, out)
         self._launches.inc()
         block = self.block
-        nb = _nblocks(len(values), block)
+        nb = -(-len(values) // block)
         dt = values.dtype
         parts = np.empty(nb, dtype=dt)
         has = np.zeros(nb, dtype=bool)
@@ -356,65 +310,16 @@ class NativeBackend(NumPyBackend):
                                 op.fill, op.is_max)
         return total
 
-    def _scan(self, op: CarryOp, values: np.ndarray, flags=None):
-        out = np.empty_like(values)
-        self.scan_into(op, values, flags, out)
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Scans (the segmented ones carry the Section 4 flag-carrying
-    # operator, fused into a single per-block pass on each sweep)
-    # ------------------------------------------------------------------ #
-
-    def plus_scan(self, values: np.ndarray) -> np.ndarray:
-        if not self._engaged(values):
-            return super().plus_scan(values)
-        return self._scan(PlusScan(values.dtype), values)
-
-    def max_scan(self, values: np.ndarray, identity) -> np.ndarray:
-        if not self._engaged(values):
-            return super().max_scan(values, identity)
-        return self._scan(MaxScan(values.dtype, identity), values)
-
-    def seg_plus_scan(self, values: np.ndarray,
-                      seg_flags: np.ndarray) -> np.ndarray:
-        if not self._engaged(values):
-            return super().seg_plus_scan(values, seg_flags)
-        return self._scan(SegPlus(values.dtype), values, seg_flags)
-
-    def seg_extreme_scan(self, values: np.ndarray, seg_flags: np.ndarray,
-                         identity, *, is_max: bool) -> np.ndarray:
-        if not self._engaged(values):
-            return super().seg_extreme_scan(values, seg_flags, identity,
-                                            is_max=is_max)
-        return self._scan(SegExtreme(values.dtype, identity, is_max=is_max),
-                          values, seg_flags)
-
-    # ------------------------------------------------------------------ #
-    # Fused pipelines: the shared block executor, or, when compiled and
-    # ending in a scan, the chain materialized block by block and then
-    # swept by the two-phase kernels
-    # ------------------------------------------------------------------ #
-
     def fused_pipeline(self, plan) -> np.ndarray:
-        """Evaluate the chain block by block (block-bounded chain
-        temporaries, :func:`repro.backends.carry.run_plan`).
-
-        Without Numba, or without a terminal scan, the executor does it
-        all — a terminal scan is the same carry fold the eager scans run
-        here.  Compiled, the executor materializes the chain's root and
-        the terminal scan then runs as the ordinary two-phase sweep over
-        it, so fused results are bit-identical to eager native execution.
-        """
-        spans = blocks(plan.n, self.block)
-        self._fused_temp = plan.block_temp_bytes(self.block)
-        if plan.terminal is None:
-            return run_plan(plan, spans)
-        if not self.compiled:
-            self._fallbacks.inc()
-            return run_plan(plan, spans)
-        root = run_plan(replace(plan, terminal=None), spans)
+        """Compiled and ending in a scan, the shared block executor
+        materializes the chain's root and the terminal scan then runs as
+        the ordinary two-phase sweep over it, so fused results are
+        bit-identical to eager native execution.  Otherwise the executor
+        does it all, as on the blocked backend."""
+        if plan.terminal is None or not self.compiled:
+            return super().fused_pipeline(plan)
+        root = super().fused_pipeline(replace(plan, terminal=None))
         # plus the materialized scan input and the per-block partials
-        partials = 2 * _nblocks(plan.n, self.block) * root.itemsize
+        partials = 2 * -(-plan.n // self.block) * root.itemsize
         self._fused_temp += root.nbytes + partials
         return getattr(self, plan.terminal)(root, *plan.terminal_args)

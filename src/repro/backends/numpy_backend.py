@@ -16,8 +16,11 @@ __all__ = ["NumPyBackend"]
 
 
 def _seg_ids(sf: np.ndarray) -> np.ndarray:
-    """0-based segment number of each element (inclusive +-scan of flags, -1)."""
-    return np.cumsum(sf) - 1
+    """0-based segment number of each element (inclusive +-scan of flags,
+    -1), as int64 in one allocation."""
+    ids = np.cumsum(sf, dtype=np.int64)
+    ids -= 1
+    return ids
 
 
 def _exclusive_cumsum(values: np.ndarray) -> np.ndarray:
@@ -127,29 +130,25 @@ class NumPyBackend(Backend):
 
     def combine_write(self, values: np.ndarray, index: np.ndarray,
                       length: int, op: str, default) -> np.ndarray:
-        out = np.full(length, default, dtype=values.dtype)
-        if op == "min":
-            # initialize to +inf-like, reduce, restore default where untouched
-            touched = np.zeros(length, dtype=bool)
-            touched[index] = True
-            hi = (np.iinfo(values.dtype).max
-                  if np.issubdtype(values.dtype, np.integer) else np.inf)
-            tmp = np.full(length, hi, dtype=values.dtype)
-            np.minimum.at(tmp, index, values)
-            out = np.where(touched, tmp, np.asarray(default, dtype=values.dtype))
-        elif op == "max":
-            touched = np.zeros(length, dtype=bool)
-            touched[index] = True
-            lo = (np.iinfo(values.dtype).min
-                  if np.issubdtype(values.dtype, np.integer) else -np.inf)
-            tmp = np.full(length, lo, dtype=values.dtype)
-            np.maximum.at(tmp, index, values)
-            out = np.where(touched, tmp, np.asarray(default, dtype=values.dtype))
+        if op == "min" or op == "max":
+            # start every cell at the op's identity, reduce, then restore
+            # the default where nothing was written
+            ufunc = np.minimum if op == "min" else np.maximum
+            if np.issubdtype(values.dtype, np.integer):
+                info = np.iinfo(values.dtype)
+                start = info.max if op == "min" else info.min
+            else:
+                start = np.inf if op == "min" else -np.inf
+            out = np.full(length, start, dtype=values.dtype)
+            ufunc.at(out, index, values)
+            untouched = np.ones(length, dtype=bool)
+            untouched[index] = False
+            out[untouched] = np.asarray(default, dtype=values.dtype)
         elif op == "sum":
-            tmp = np.zeros(length, dtype=values.dtype)
-            np.add.at(tmp, index, values)
-            out = tmp
+            out = np.zeros(length, dtype=values.dtype)
+            np.add.at(out, index, values)
         elif op == "any":
+            out = np.full(length, default, dtype=values.dtype)
             out[index] = values  # last writer wins: an arbitrary-winner write
         else:
             raise ValueError(f"unknown combine op {op!r}")
@@ -186,7 +185,7 @@ class NumPyBackend(Backend):
     # ---------------------------- segmented ---------------------------- #
 
     def segment_ids(self, seg_flags: np.ndarray) -> np.ndarray:
-        return _seg_ids(seg_flags).astype(np.int64)
+        return _seg_ids(seg_flags)
 
     def seg_plus_scan(self, values: np.ndarray,
                       seg_flags: np.ndarray) -> np.ndarray:

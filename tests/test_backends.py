@@ -557,3 +557,49 @@ class TestBlockedCarries:
         tracemalloc.stop()
 
         assert peak_blocked < peak_numpy / 2
+
+
+# --------------------------------------------------------------------- #
+# One block engine: blocked and native schedule only the carry primitives
+# --------------------------------------------------------------------- #
+
+class TestBlockEngine:
+    BIG = 10**8  # a 100 MB output
+
+    @pytest.mark.parametrize("backend", [
+        BlockedBackend(), BlockedBackend(chunk=3), NativeBackend(),
+        NativeBackend(block=1024)], ids=repr)
+    def test_inherited_ops_report_numpys_temp_estimate(self, backend):
+        """Ops the block schedule does not run are NumPy's expressions,
+        and their temporaries are NumPy's too: a chunk-bounded figure
+        for a whole-vector gather would under-report to a profiler."""
+        numpy = NumPyBackend()
+        for op in ("gather", "seg_copy", "permute", "seg_distribute"):
+            assert (backend.temp_bytes(op, self.BIG)
+                    == numpy.temp_bytes(op, self.BIG)), op
+        for op in ("plus_scan", "max_scan", "seg_plus_scan",
+                   "seg_extreme_scan", "reduce"):
+            assert backend.temp_bytes(op, self.BIG) <= 3 * 65536 * 8, op
+
+
+class TestCombineWriteMemory:
+    """``combine_write`` allocated ``np.full(length, default)`` and then
+    discarded it for ``min``, ``max`` and ``sum``, and built the min/max
+    result as a third full-length array through ``np.where``."""
+
+    N = 200_000
+
+    @pytest.mark.parametrize("op, limit", [("min", 1.5), ("max", 1.5),
+                                           ("sum", 1.1)])
+    def test_peak_stays_near_the_output(self, op, limit):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        values = rng.integers(-1000, 1000, self.N)
+        index = rng.integers(0, self.N, self.N)
+        backend = NumPyBackend()
+        tracemalloc.start()
+        out = backend.combine_write(values, index, self.N, op, 7)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= limit * out.nbytes, (op, peak / out.nbytes)

@@ -193,11 +193,16 @@ class TestDtypeBoundaries:
                 assert np.array_equal(got, want), label
 
     def test_bool_vectors_delegate_to_numpy_semantics(self):
-        nat = NativeBackend()
-        values = np.array([True, False, True, True])
-        assert not nat._engaged(values)
-        assert np.array_equal(nat.max_scan(values, False),
-                              _NP.max_scan(values, False))
+        """Bool lanes keep NumPy's accumulate semantics under both
+        schedules (the kernels leave them to the fold)."""
+        values = np.array([True, False, True, True, False, True])
+        for label, nat in _each_native(2):
+            got = nat.max_scan(values, False)
+            assert got.dtype == np.bool_, label
+            assert np.array_equal(got, _NP.max_scan(values, False)), label
+            got = nat.plus_scan(values)
+            assert got.dtype == np.bool_, label
+            assert np.array_equal(got, _NP.plus_scan(values)), label
 
 
 # --------------------------------------------------------------------- #
