@@ -153,8 +153,9 @@ class Backend(ABC):
         seconds = time.perf_counter() - t0
         counter.inc()
         out_bytes = _result_bytes(out)
+        itemsize = out.itemsize if isinstance(out, np.ndarray) else 8
         event = OpEvent(op=op, seconds=seconds, out_bytes=out_bytes,
-                        temp_bytes=self.temp_bytes(op, out_bytes),
+                        temp_bytes=self.temp_bytes(op, out_bytes, itemsize),
                         backend=self.name)
         for observer in observers:
             observer(event)
@@ -171,8 +172,9 @@ class Backend(ABC):
             self._ops_counter = registry.counter(f"backend.{self.name}.ops")
             return self._ops_counter
 
-    def temp_bytes(self, op: str, out_bytes: int) -> int:
-        """Estimated peak working storage for one op, in bytes.
+    def temp_bytes(self, op: str, out_bytes: int, itemsize: int = 8) -> int:
+        """Estimated peak working storage for one op, in bytes, given the
+        result's size and its lane width ``itemsize``.
 
         The base estimate is whole-vector: a temporary the size of the
         result.  Backends whose execution strategy bounds temporaries

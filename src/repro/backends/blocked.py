@@ -58,20 +58,19 @@ class BlockedBackend(NumPyBackend):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BlockedBackend(chunk={self.chunk})"
 
-    def temp_bytes(self, op: str, out_bytes: int) -> int:
-        """Chunk-bounded temporaries for the carry primitives: working
-        storage never exceeds one chunk of the widest lane (8-byte words),
-        three for the rank-encoding segmented extreme, regardless of
-        vector length — the figure a profiler should see drop when
-        switching a long-vector run from ``numpy`` to ``blocked``.  Fused
-        pipelines report their chain's chunk-bounded footprint; every
-        other op is NumPy's, and so is its estimate."""
+    def temp_bytes(self, op: str, out_bytes: int, itemsize: int = 8) -> int:
+        """Chunk-bounded temporaries for the carry primitives: NumPy's
+        estimate for one chunk — one chunk of the lane, or 16 to 17 bytes
+        per element for the segmented extreme — regardless of vector
+        length: the figure a profiler should see drop when switching a
+        long-vector run from ``numpy`` to ``blocked``.  Fused pipelines
+        report their chain's chunk-bounded footprint; every other op is
+        NumPy's, and so is its estimate."""
         if op == "fused_pipeline":
             return self._fused_temp
-        if op not in PRIMITIVES:
-            return super().temp_bytes(op, out_bytes)
-        per_chunk = min(out_bytes, self.chunk * 8)
-        return 3 * per_chunk if op == "seg_extreme_scan" else per_chunk
+        if op in PRIMITIVES:
+            out_bytes = min(out_bytes, self.chunk * itemsize)
+        return super().temp_bytes(op, out_bytes, itemsize)
 
     # ------------------------ the block schedule ----------------------- #
 

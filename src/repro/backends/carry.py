@@ -31,12 +31,12 @@ Three schedules run the same table:
 So every schedule shares one set of conventions.  Integer carries wrap
 modulo ``2**width``.  Extreme carries order NaN exactly as the in-block
 code does: ``np.maximum`` (NaN absorbs) for max, and ``np.fmin`` (NaN as a
-largest value, like the rank encoding) for segmented min — see
-``docs/verification.md``.  Segmented carries are ``(value, has_head)``
-pairs whose combine is "a head resets the carry".  Integer and boolean
-results are therefore bit-identical to one whole-vector pass; float
-``+``-carries re-associate, exactly as a real blocked machine's would.
-Blocks are never empty.
+largest value, like the in-block packed key and doubling scan) for
+segmented min — see ``docs/verification.md``.  Segmented carries are
+``(value, has_head)`` pairs whose combine is "a head resets the carry".
+Integer and boolean results are therefore bit-identical to one
+whole-vector pass; float ``+``-carries re-associate, exactly as a real
+blocked machine's would.  Blocks are never empty.
 """
 from __future__ import annotations
 

@@ -103,13 +103,13 @@ class DistributedBackend(NumPyBackend):
         """The pool's fault ledger (spawns the pool if needed)."""
         return self.pool.ledger
 
-    def temp_bytes(self, op: str, out_bytes: int) -> int:
+    def temp_bytes(self, op: str, out_bytes: int, itemsize: int = 8) -> int:
         """Distribution triples the footprint of carry-bearing ops: the
         operands and result live a second time in shared memory, plus the
         host-side result copy."""
         if op in PRIMITIVES:
             return 3 * out_bytes
-        return super().temp_bytes(op, out_bytes)
+        return super().temp_bytes(op, out_bytes, itemsize)
 
     def _distribute(self, n: int) -> bool:
         """Whether a length-``n`` carry op should go to the pool; counts

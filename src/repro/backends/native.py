@@ -35,8 +35,8 @@ blocked and distributed engines' carries do (the verifier's documented additive
 tolerance); ``max``-family scans are exact because ``np.maximum`` and the
 kernels' ``v > acc or v != v`` comparison both implement the same
 NaN-absorbing total order.  The segmented *min* kernels order NaN as a
-largest value (``np.fmin`` semantics) — the same documented rank-encoding
-convention as the numpy engine, see ``docs/verification.md``.
+largest value (``np.fmin`` semantics) — the same documented convention
+as the numpy engine's segmented extreme scan, see ``docs/verification.md``.
 
 Everything else — communication, broadcast, the table-driven segmented
 ops — is NumPy's, inherited through the blocked backend: the paper's

@@ -17,8 +17,10 @@ __all__ = ["NumPyBackend"]
 
 def _seg_ids(sf: np.ndarray) -> np.ndarray:
     """0-based segment number of each element (inclusive +-scan of flags,
-    -1), as int64 in one allocation."""
-    ids = np.cumsum(sf, dtype=np.int64)
+    -1), as int64 in one allocation (``np.cumsum(sf, dtype=np.int64)``
+    would first cast the flags into a second int64 array)."""
+    ids = sf.astype(np.int64)
+    np.cumsum(ids, out=ids)
     ids -= 1
     return ids
 
@@ -40,32 +42,100 @@ def _exclusive_cumsum(values: np.ndarray) -> np.ndarray:
     return ex.astype(values.dtype, copy=False)
 
 
+#: the packed key ``seg_id * R + offset`` must stay clear of int64's sign
+#: bit, with a bit to spare: Figure 16's form runs only while
+#: ``segments * R`` is below this
+_PACK_LIMIT = 1 << 62
+
+
 def _seg_running_extreme(v: np.ndarray, sf: np.ndarray, identity, *,
                          is_max: bool, out=None) -> np.ndarray:
-    """Exclusive per-segment running max (or min) via the Figure 16 method:
-    encode (segment, rank-of-value), take one unsegmented running max,
-    decode.  Works for any comparable dtype because ranks, not raw bits,
-    carry the value.  Writes into ``out`` when given."""
+    """Exclusive per-segment running max (or min), written into ``out``
+    when given.  ``sf[0]`` must be set (every segmented entry point
+    checks it).
+
+    Integer and boolean lanes take the Figure 16 method: the segment
+    number goes in the bits above each value's offset in ``[lo, hi]`` and
+    one unsegmented running max does the whole scan (:func:`_packed`).
+    Floats, and integers whose packed key would not fit in 63 bits, take
+    a segmented Hillis-Steele doubling scan instead (:func:`_doubling`).
+
+    Both forms order NaN the same way: max absorbs it (``np.maximum``),
+    min orders it as the largest value (``np.fmin``), so a segment's
+    running min is NaN only while every element so far is NaN.  Heads
+    get ``identity``, written last: the scan itself never combines with
+    it, so it clamps nothing and cannot turn a NaN prefix into
+    ``fmin(identity, nan)``."""
     n = len(v)
     if n == 0:
         return v.copy() if out is None else out
-    order = np.argsort(v, kind="stable")
-    if not is_max:
-        order = order[::-1]  # higher rank now means smaller value
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    s = _seg_ids(sf)
-    code = s * n + rank
-    run = np.empty(n, dtype=np.int64)
-    run[0] = -1
-    np.maximum.accumulate(code[:-1], out=run[1:])
-    valid = (run >= 0) & (run // n == s)
-    decoded_pos = order[np.clip(run % n, 0, n - 1)]
     if out is None:
         out = np.empty_like(v)
-    out[...] = np.asarray(identity, dtype=v.dtype)
-    np.copyto(out, v[decoded_pos], where=valid)
+    if not (v.dtype.kind in "biu" and _packed(v, sf, is_max, out)):
+        _doubling(v, sf, is_max, out)
+    out[sf] = np.asarray(identity, dtype=v.dtype)
     return out
+
+
+def _packed(v: np.ndarray, sf: np.ndarray, is_max: bool,
+            out: np.ndarray) -> bool:
+    """Figure 16 on integer lanes: key ``seg_id * R + (v - lo)`` for max,
+    ``seg_id * R + (hi - v)`` for min, with ``R = hi - lo + 1``.  Keys
+    grow with the segment number, so one inclusive running max of the
+    keys stays inside each element's own segment; subtracting
+    ``seg_id * R`` back out leaves the offset of the segment's extreme
+    so far.  Element ``i`` then takes element ``i - 1``'s inclusive
+    result (heads are overwritten by the caller).  Returns ``False``,
+    having written nothing, when ``segments * R`` reaches
+    :data:`_PACK_LIMIT`."""
+    lo, hi = int(v.min()), int(v.max())
+    span = hi - lo + 1
+    if int(np.count_nonzero(sf)) * span >= _PACK_LIMIT:
+        return False
+    # unsigned lanes subtract in uint64, so values >= 2**63 never pass
+    # through an int64 cast; every offset is below 2**62, where the two
+    # words share their bits
+    wide = np.dtype(np.uint64 if v.dtype.kind == "u" else np.int64)
+    key = v.astype(wide)
+    if is_max:
+        np.subtract(key, wide.type(lo), out=key)
+    else:
+        np.subtract(wide.type(hi), key, out=key)
+    key = key.view(np.int64)
+    base = _seg_ids(sf)
+    base *= span
+    key += base
+    np.maximum.accumulate(key, out=key)
+    key -= base
+    offsets = key[:-1].view(wide)
+    if is_max:
+        np.add(offsets, wide.type(lo), out=out[1:], casting="unsafe")
+    else:
+        np.subtract(wide.type(hi), offsets, out=out[1:], casting="unsafe")
+    return True
+
+
+def _doubling(v: np.ndarray, sf: np.ndarray, is_max: bool,
+              out: np.ndarray) -> None:
+    """Segmented Hillis-Steele scan: the inclusive extreme of ``v[:-1]``
+    built in ``out[1:]`` by ``ceil(lg L)`` doubling passes, ``L`` the
+    longest segment.  Pass ``k`` combines each element with the one
+    ``k`` back only where that source lies in the element's own segment
+    (its distance to the segment head is at least ``k``)."""
+    n = len(v)
+    dist = np.arange(n - 1, dtype=np.int64)
+    head = np.where(sf[:-1], dist, 0)
+    np.maximum.accumulate(head, out=head)
+    dist -= head
+    del head
+    x = out[1:]
+    x[...] = v[:-1]
+    extreme = np.maximum if is_max else np.fmin
+    longest = int(dist.max()) + 1 if n > 1 else 0
+    k = 1
+    while k < longest:
+        extreme(x[:-k], x[k:], out=x[k:], where=dist[k:] >= k)
+        k *= 2
 
 
 _REDUCERS = {"sum": np.sum, "max": np.max, "min": np.min,
@@ -80,13 +150,17 @@ class NumPyBackend(Backend):
 
     name = "numpy"
 
-    def temp_bytes(self, op: str, out_bytes: int) -> int:
+    def temp_bytes(self, op: str, out_bytes: int, itemsize: int = 8) -> int:
         """Whole-vector temporaries: every NumPy expression materializes
-        intermediates the size of the result (the base estimate), and the
-        rank-encoding segmented extreme scan holds about three of them."""
+        intermediates the size of the result (the base estimate).  The
+        segmented extreme scan holds two int64 words per element whatever
+        the lane width: the packed key and the segment base, or the
+        doubling scan's head distance while the heads are found.  Its
+        passes then hold the distance, a one-byte mask and NumPy's copy
+        of the overlapping operand, one lane wide."""
         if op == "seg_extreme_scan":
-            return 3 * out_bytes
-        return super().temp_bytes(op, out_bytes)
+            return out_bytes // itemsize * max(16, 9 + itemsize)
+        return super().temp_bytes(op, out_bytes, itemsize)
 
     # -------------------------- elementwise --------------------------- #
 

@@ -29,7 +29,7 @@ class ReferenceBackend(Backend):
 
     name = "reference"
 
-    def temp_bytes(self, op: str, out_bytes: int) -> int:
+    def temp_bytes(self, op: str, out_bytes: int, itemsize: int = 8) -> int:
         """Per-element execution touches one element at a time; working
         storage is a couple of machine words whatever the vector length
         (the output buffer itself is reported separately as result
@@ -229,9 +229,10 @@ class ReferenceBackend(Backend):
             if seg_flags[i]:
                 acc, fresh = ident, True
             out[i] = acc if not fresh else ident
-            # NaN orders as a largest value (the rank-encoding convention
-            # every backend shares): max absorbs it via np.maximum, min
-            # passes it over via np.fmin — not the propagating np.minimum
+            # NaN orders as a largest value (the convention every
+            # backend's segmented extreme scan shares): max absorbs it via
+            # np.maximum, min passes it over via np.fmin — not the
+            # propagating np.minimum
             acc = values[i] if fresh else (
                 np.maximum(acc, values[i]) if is_max
                 else np.fmin(acc, values[i]))

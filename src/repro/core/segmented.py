@@ -11,11 +11,12 @@ primitive scans** (Section 3.4, Figure 16): a segmented ``max-scan`` appends
 the segment number to each value before an unsegmented ``max-scan``; a
 segmented ``+-scan`` subtracts a copied segment-head offset from an
 unsegmented ``+-scan``.  The functions in this module compute results with
-vectorized NumPy using exactly that construction (with the bit-append
-replaced by a rank encoding so arbitrary signed/float values cannot
-overflow), dispatched through the machine's execution backend
-(:meth:`repro.machine.Machine.execute`), and charge the machine the
-construction's primitive cost.
+vectorized NumPy using exactly that construction (the segment number is
+appended above each integer's offset from the vector's minimum, so signed
+values need no sign bit; floats, and integer ranges too wide to pack into
+63 bits, take a segmented doubling scan instead), dispatched through the
+machine's execution backend (:meth:`repro.machine.Machine.execute`), and
+charge the machine the construction's primitive cost.
 The bit-literal constructions are in :mod:`repro.core.simulate` and are
 tested to agree element-for-element.
 """

@@ -21,8 +21,9 @@ executable:
 
 The bit-append constructions require non-negative values of a declared
 width; :mod:`repro.core.segmented` provides the general-dtype equivalents
-(same costs, rank encoding instead of raw bits).  The test suite checks the
-two agree element-for-element wherever both are defined.
+(same costs; value offsets instead of raw bits, or a segmented doubling
+scan where those would not fit).  The test suite checks the two agree
+element-for-element wherever both are defined.
 """
 from __future__ import annotations
 

@@ -18,10 +18,12 @@ serial one-request run.  Three rules keep it that way:
   so NumPy promotion can never leak across tenants;
 * **float vectors never batch.**  The +-family's association changes
   under the segmented construction (exact for integers, last-ulp for
-  IEEE floats), and the extreme scans' rank encoding orders NaN like a
-  largest value rather than propagating it; both are documented engine
-  departures (``docs/verification.md``) that a *solo* run does not take.
-  Float jobs ride the serial path and stay bit-identical to it.
+  IEEE floats), and the segmented extreme scans order NaN like a
+  largest value rather than propagating it (max absorbs it, min passes
+  it over, as ``np.maximum`` and ``np.fmin`` do); both are documented
+  engine departures (``docs/verification.md``) that a *solo* run does
+  not take.  Float jobs ride the serial path and stay bit-identical to
+  it.
 * empty vectors run solo: their result dtype is an identity question,
   answered by the real op rather than re-derived here.
 

@@ -16,7 +16,7 @@ computes.  These tests pin the contract that makes that split safe:
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro import Machine
@@ -31,6 +31,7 @@ from repro.backends import (
     available_backends,
     backend_specs,
     get_backend,
+    numpy_backend,
     resolve_backend,
 )
 from repro.core import ops, scans, segmented
@@ -476,8 +477,8 @@ class TestEmptyReduce:
 
 class TestSegExtremeNaNCarries:
     """The min carry between chunks/shards used NaN-propagating
-    ``np.minimum`` while the in-chunk rank encoding orders NaN as a
-    largest value: with NaN inside the open segment crossing a boundary,
+    ``np.minimum`` while the in-chunk scan orders NaN as a largest value
+    (``np.fmin``): with NaN inside the open segment crossing a boundary,
     blocked and reference returned ``nan`` where numpy returns the real
     running min.  Fixed by ``np.fmin`` carries everywhere."""
 
@@ -507,6 +508,163 @@ class TestSegExtremeNaNCarries:
         # shard b has no head: it receives shard a's open-segment min
         op.apply(got[4:], sf[4:], carry_a)
         assert np.array_equal(got, self._seg_min("numpy"), equal_nan=True)
+
+
+# --------------------------------------------------------------------- #
+# Segmented extreme: the packed Figure 16 key and its doubling fallback
+# --------------------------------------------------------------------- #
+
+class TestSegExtremeForms:
+    """Integer lanes pack ``seg_id * R + offset`` into one int64 key while
+    ``segments * R < 2**62``; wider ranges (and floats) take the segmented
+    doubling scan.  Both forms must match the reference's serial loop on
+    the whole-vector engine and on 3-element blocks, and each must run on
+    the inputs meant for it."""
+
+    ENGINES = ("numpy", "blocked:3", "native:0:3")
+    DTYPES = (np.int8, np.uint8, np.int64, np.uint64)
+
+    @staticmethod
+    def _count_forms(mp):
+        """Route both forms through counters: ``packed`` counts the calls
+        that packed (``_packed`` declines by returning ``False``)."""
+        calls = {"packed": 0, "doubling": 0}
+        packed, doubling = numpy_backend._packed, numpy_backend._doubling
+
+        def counting_packed(*args):
+            ran = packed(*args)
+            calls["packed"] += ran
+            return ran
+
+        def counting_doubling(*args):
+            calls["doubling"] += 1
+            doubling(*args)
+
+        mp.setattr(numpy_backend, "_packed", counting_packed)
+        mp.setattr(numpy_backend, "_doubling", counting_doubling)
+        return calls
+
+    def _check(self, values, flags, is_max):
+        """Compare every engine with the reference; return which form the
+        whole-vector ``numpy`` call took."""
+        identity = (scans.max_identity if is_max
+                    else scans.min_identity)(values.dtype)
+        want = ReferenceBackend().seg_extreme_scan(values, flags, identity,
+                                                   is_max=is_max)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self._count_forms(mp)
+            for spec in self.ENGINES:
+                got = get_backend(spec).seg_extreme_scan(
+                    values, flags, identity, is_max=is_max)
+                assert got.dtype == want.dtype, spec
+                assert np.array_equal(got, want, equal_nan=True), spec
+                if spec == "numpy":
+                    form = dict(calls)
+        assert sum(form.values()) == 1, form
+        return "packed" if form["packed"] else "doubling"
+
+    @staticmethod
+    def _predicted(values, flags):
+        if values.dtype.kind not in "biu":
+            return "doubling"
+        span = int(values.max()) - int(values.min()) + 1
+        return ("packed" if int(flags.sum()) * span < 2**62
+                else "doubling")
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_at_iinfo_bounds(self, data):
+        dtype = np.dtype(data.draw(st.sampled_from(self.DTYPES)))
+        info = np.iinfo(dtype)
+        # the iinfo bounds themselves, or a window whose span is drawn on a
+        # log scale, so that segments * R lands on both sides of 2**62
+        bits = data.draw(st.integers(0, info.bits))
+        lo = data.draw(st.integers(info.min, info.max))
+        hi = min(info.max, lo + 2**bits - 1)
+        elements = st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi))
+        if data.draw(st.booleans()):
+            elements |= st.sampled_from([info.min, info.max, info.min + 1,
+                                         info.max - 1])
+        n = data.draw(st.integers(1, 48))
+        values = np.array(data.draw(st.lists(elements, min_size=n,
+                                             max_size=n)), dtype=dtype)
+        flags = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                            max_size=n)))
+        flags[0] = True
+        is_max = data.draw(st.booleans())
+        form = self._check(values, flags, is_max)
+        assert form == self._predicted(values, flags)
+        event(f"{dtype} {form}")
+
+    @pytest.mark.parametrize("is_max", [True, False])
+    def test_each_form_runs_where_meant(self, is_max):
+        """Full-range 8-bit lanes still pack (R = 256); full-range 64-bit
+        lanes cannot; a 2**58 span packs under 16 segments and falls back
+        at 16; floats and NaN always take the doubling scan."""
+        rng = np.random.default_rng(0)
+        n = 64
+
+        def flags_with(segments):
+            f = np.zeros(n, dtype=bool)
+            f[np.linspace(0, n, segments, endpoint=False).astype(int)] = True
+            return f
+
+        def bounds(dtype):
+            info = np.iinfo(dtype)
+            return rng.choice(np.array([info.min, info.max, info.min + 1,
+                                        info.max - 1], dtype=dtype), n)
+
+        span = np.array([0, 2**58 - 1], dtype=np.int64)
+        floats = rng.random(n)
+        floats[::5] = np.nan
+        cases = [
+            (bounds(np.int8), flags_with(n), "packed"),
+            (bounds(np.uint8), flags_with(n), "packed"),
+            (rng.random(n) < 0.5, flags_with(9), "packed"),
+            (bounds(np.int64), flags_with(1), "doubling"),
+            (bounds(np.uint64), flags_with(2), "doubling"),
+            (np.resize(span, n), flags_with(15), "packed"),
+            (np.resize(span, n), flags_with(16), "doubling"),
+            (floats, flags_with(5), "doubling"),
+        ]
+        for values, flags, form in cases:
+            assert self._predicted(values, flags) == form
+            assert self._check(values, flags, is_max) == form, (
+                values.dtype, int(flags.sum()))
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.int32, np.int64,
+                                       np.uint64, np.float32, np.float64])
+    @pytest.mark.parametrize("segments", [1, 64, "all"])
+    def test_temp_estimate_covers_each_lane_width(self, dtype, segments):
+        """``temp_bytes`` counts elements, not result bytes: both forms
+        allocate int64 words whatever the lane width, so an estimate
+        scaled to the result would under-report narrow lanes 8-fold."""
+        import tracemalloc
+
+        n = 1 << 17
+        rng = np.random.default_rng(0)
+        if dtype is np.bool_:
+            values = rng.random(n) < 0.5
+        elif np.dtype(dtype).kind == "f":
+            values = rng.random(n).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            values = rng.integers(info.min, info.max, n, dtype=dtype,
+                                  endpoint=True)
+        flags = np.zeros(n, dtype=bool)
+        flags[::n // segments if segments != "all" else 1] = True
+        backend = NumPyBackend()
+        identity = scans.min_identity(values.dtype)
+        tracemalloc.start()
+        out = backend.seg_extreme_scan(values, flags, identity, is_max=False)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        estimate = backend.temp_bytes("seg_extreme_scan", out.nbytes,
+                                      out.itemsize)
+        # the result itself and NumPy's casting buffers (8192 elements
+        # each, whatever n) ride on top
+        assert peak - out.nbytes <= estimate + 2**17, peak / n
+        assert estimate <= 1.25 * peak, (estimate / n, peak / n)
 
 
 # --------------------------------------------------------------------- #
